@@ -85,6 +85,21 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: dict,
         fh.write("\n")
 
 
+def _write_loss_csv(path, history) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("epoch,mean_loss\n")
+        for epoch, value in enumerate(history, start=1):
+            fh.write(f"{epoch},{value:.17g}\n")
+
+
+def _write_plot_data(path, kf, danae, gt) -> None:
+    """All three angles of each estimator as kf_roll, ..., gt_yaw columns."""
+    labeled = [(f"{label}_{name}", series.angle(name))
+               for label, series in (("kf", kf), ("danae", danae), ("gt", gt))
+               for name in ANGLE_NAMES]
+    emit_plot_data(kf.t, labeled, path)
+
+
 def _synth_config(args) -> SynthConfig:
     cfg = SynthConfig()
     if getattr(args, "config", None):
@@ -175,10 +190,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     save_model(out, model, angle_id=args.angle)
     loss_path = Path(args.loss_log) if args.loss_log else out.with_suffix(out.suffix + ".loss.csv")
-    with open(loss_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_loss\n")
-        for epoch, value in enumerate(history, start=1):
-            fh.write(f"{epoch},{value:.17g}\n")
+    _write_loss_csv(loss_path, history)
     _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train",
                     {**dataclasses.asdict(cfg), "angle": args.angle,
                      "stride": args.stride, "windows": len(windows)},
@@ -221,11 +233,7 @@ def cmd_eval(args) -> int:
         Path(args.report_csv).write_text(report.to_csv(), encoding="utf-8")
         outputs.append(Path(args.report_csv))
     if args.plot_data:
-        labeled = []
-        for label, series in (("kf", kf), ("danae", danae), ("gt", gt)):
-            for name in ANGLE_NAMES:
-                labeled.append((f"{label}_{name}", series.angle(name)))
-        emit_plot_data(kf.t, labeled, args.plot_data)
+        _write_plot_data(args.plot_data, kf, danae, gt)
         outputs.append(Path(args.plot_data))
     if outputs:
         manifest_path = outputs[0].with_suffix(outputs[0].suffix + ".manifest.json")
@@ -270,10 +278,7 @@ def cmd_pipeline(args) -> int:
         ckpt = out_dir / f"model_{name}.ckpt"
         save_model(ckpt, model, angle_id=name)
         loss_path = out_dir / f"loss_{name}.csv"
-        with open(loss_path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,mean_loss\n")
-            for epoch, value in enumerate(history, start=1):
-                fh.write(f"{epoch},{value:.17g}\n")
+        _write_loss_csv(loss_path, history)
         log.info("angle %s: %d windows, loss %.3g -> %.3g",
                  name, len(windows), history[0], history[-1])
         denoised = denoise_series(model, denoised, name)
@@ -285,11 +290,7 @@ def cmd_pipeline(args) -> int:
     report = build_report(kf_test, denoised, gt_test)
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    labeled = []
-    for label, series in (("kf", kf_test), ("danae", denoised), ("gt", gt_test)):
-        for name in ANGLE_NAMES:
-            labeled.append((f"{label}_{name}", series.angle(name)))
-    emit_plot_data(kf_test.t, labeled, out_dir / "plot_data.csv")
+    _write_plot_data(out_dir / "plot_data.csv", kf_test, denoised, gt_test)
     outputs.extend(out_dir / n for n in
                    ("kf_test.csv", "gt_test.csv", "danae_test.csv",
                     "report.txt", "report.csv", "plot_data.csv"))

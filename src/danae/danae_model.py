@@ -284,19 +284,39 @@ def load_model(path) -> tuple[DanaeModel, dict]:
     if meta.get("kind") != "danae-model":
         raise ConfigError(f"{path}: checkpoint does not hold a denoiser model")
     groups: dict[str, list[ConvLayer]] = {"enc": [], "std": [], "up": []}
-    for entry in meta["layers"]:
-        spec = ConvSpec(
-            entry["in_channels"], entry["out_channels"], entry["kernel_size"],
-            dilation=entry["dilation"], padding=entry["padding"],
-            transposed=entry["transposed"],
+    names = []
+    try:
+        for entry in meta["layers"]:
+            spec = ConvSpec(
+                entry["in_channels"], entry["out_channels"], entry["kernel_size"],
+                dilation=entry["dilation"], padding=entry["padding"],
+                transposed=entry["transposed"],
+            )
+            name = entry["name"]
+            if not isinstance(name, str) or name.rstrip("0123456789") not in groups:
+                raise ConfigError(f"{path}: unknown layer name {name!r}")
+            weight = arrays[f"{name}.w"]
+            bias = arrays[f"{name}.b"]
+            if weight.shape != spec.weight_shape() or bias.shape != (spec.out_channels,):
+                raise ShapeError(f"{path}: array shapes disagree with layer {name}")
+            layer = ConvLayer(spec, Tensor(weight), Tensor(bias), entry["activate"])
+            groups[name.rstrip("0123456789")].append(layer)
+            names.append(name)
+        if not all(type(meta[key]) is int and meta[key] >= 1
+                   for key in ("channels", "window_length")):
+            raise ConfigError(f"{path}: channels and window_length must be positive integers")
+        model = DanaeModel(groups["enc"], groups["up"], groups["std"],
+                           meta["channels"], meta["window_length"])
+    except KeyError as err:
+        raise ConfigError(f"{path}: model checkpoint has no {err}") from None
+    except TypeError as err:
+        raise ConfigError(f"{path}: malformed model checkpoint: {err}") from None
+    counts = (len(model.encoder), len(model.decoder_up), len(model.decoder_std))
+    wiring = (len(ENCODER_DILATIONS), len(DECODER_UP_DILATIONS),
+              len(DECODER_UP_DILATIONS) + 1)
+    if counts != wiring or names != [name for name, _ in model.layers()]:
+        raise ConfigError(
+            f"{path}: layers {names} do not follow the DANAE wiring of "
+            f"{wiring[0]} enc, {wiring[1]} up and {wiring[2]} std layers"
         )
-        name = entry["name"]
-        weight = arrays[f"{name}.w"]
-        bias = arrays[f"{name}.b"]
-        if weight.shape != spec.weight_shape() or bias.shape != (spec.out_channels,):
-            raise ShapeError(f"{path}: array shapes disagree with layer {name}")
-        layer = ConvLayer(spec, Tensor(weight), Tensor(bias), entry["activate"])
-        groups[name.rstrip("0123456789")].append(layer)
-    model = DanaeModel(groups["enc"], groups["up"], groups["std"],
-                       meta["channels"], meta["window_length"])
     return model, meta

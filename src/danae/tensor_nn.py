@@ -7,14 +7,17 @@ with a leading batch axis; parameters reuse the same Tensor type with their
 natural shapes.
 
 Convolutions use cross-correlation semantics (no kernel flip) at stride 1.
-Forward kernels are reduced to one im2col gather plus a matrix product, and
-the transposed convolution is the exact adjoint of the forward one, so
+The correlation is shift-and-add: one matrix product per kernel tap against
+a shifted view of the padded input, summed. The transposed convolution is a
+wrapper that runs the same correlation on swapped, flipped weights with
+complementary padding, so it is the exact adjoint of the forward one:
 <conv(x), y> == <x, conv_t(y)> for shared weights.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -118,16 +121,14 @@ class ConvSpec:
 # ---------------------------------------------------------------------------
 # correlation core on (channels, length, batch) arrays
 #
-# The batch axis trails so that the im2col gather lands directly in
-# (channels * taps, length * batch) order and every contraction below is one
-# contiguous BLAS call with no transposes.
+# The batch axis trails so that each tap's shifted input x_pad[:, j*d : j*d+T, :]
+# of a contiguous x_pad reshapes to a strided (channels, T * batch) view without
+# a copy, and every contraction below is one BLAS call per tap.
 
 def _pad_or_crop(x: np.ndarray, p: int) -> np.ndarray:
     c, length, b = x.shape
     if p == 0:
         return x
-    if length + 2 * p < 1:
-        raise ShapeError("negative padding removes the whole signal")
     if p > 0:
         out = np.zeros((c, length + 2 * p, b))
         out[:, p:p + length, :] = x
@@ -135,54 +136,50 @@ def _pad_or_crop(x: np.ndarray, p: int) -> np.ndarray:
     return x[:, -p:length + p, :]
 
 
-_COLS_INDEX_CACHE: dict = {}
-
-
-def _cols(x: np.ndarray, k: int, dilation: int, padding: int, out_len: int) -> np.ndarray:
-    """im2col: (C, L, B) -> (C * k, T * B) with taps spaced by the dilation."""
-    xp = _pad_or_crop(x, padding)
-    c, tp, b = xp.shape
-    key = (c, tp, k, dilation, out_len)
-    flat_idx = _COLS_INDEX_CACHE.get(key)
-    if flat_idx is None:
-        # one fused first-axis gather keeps the result contiguous, so the
-        # reshape below is free
-        taps = np.arange(out_len)[None, :] + dilation * np.arange(k)[:, None]
-        flat_idx = (np.arange(c)[:, None, None] * tp + taps[None]).reshape(c * k, out_len)
-        _COLS_INDEX_CACHE[key] = flat_idx
-    return xp.reshape(c * tp, b)[flat_idx].reshape(c * k, out_len * b)
-
-
-def _out_len(length: int, padding: int, dilation: int, k: int) -> int:
+def _taps(x: np.ndarray, padding: int, dilation: int, k: int) -> tuple[list, int]:
+    """The k shifted inputs of a correlation as (C, T * B) arrays, and T."""
+    c, length, b = x.shape
     t = length + 2 * padding - dilation * (k - 1)
     if t < 1:
         raise ShapeError(
             f"output length {t} for input length {length}, padding {padding}, "
             f"dilation {dilation}, kernel {k}"
         )
-    return t
+    xp = _pad_or_crop(x, padding)
+    return [xp[:, j * dilation:j * dilation + t, :].reshape(c, t * b)
+            for j in range(k)], t
 
 
 def _corr(x: np.ndarray, w: np.ndarray, padding: int, dilation: int) -> np.ndarray:
     """Cross-correlate (I, L, B) with (O, I, k) -> (O, T, B)."""
-    _, length, b = x.shape
-    o, i, k = w.shape
-    t = _out_len(length, padding, dilation, k)
-    cols = _cols(x, k, dilation, padding, t)
-    return (w.reshape(o, i * k) @ cols).reshape(o, t, b)
+    taps, t = _taps(x, padding, dilation, w.shape[2])
+    # one contiguous (O, I) matrix per tap keeps every product on BLAS
+    w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))
+    y = w_taps[0] @ taps[0]
+    for w_j, x_j in zip(w_taps[1:], taps[1:]):
+        y += w_j @ x_j
+    return y.reshape(w.shape[0], t, x.shape[2])
 
 
 def _corr_dw(x: np.ndarray, g: np.ndarray, padding: int, dilation: int, k: int) -> np.ndarray:
-    """Weight gradient of _corr: contract (O, T, B) against the input columns."""
-    o, t, b = g.shape
-    i = x.shape[0]
-    cols = _cols(x, k, dilation, padding, t)
-    return (g.reshape(o, t * b) @ cols.T).reshape(o, i, k)
+    """Weight gradient of _corr: contract (O, T, B) against each tap's input."""
+    taps, _ = _taps(x, padding, dilation, k)
+    g2 = g.reshape(g.shape[0], -1)
+    return np.stack([g2 @ x_j.T for x_j in taps], axis=2)
 
 
 def _flip_swap(w: np.ndarray) -> np.ndarray:
-    """(O, I, k) -> (I, O, k) with the taps reversed."""
+    """(O, I, k) -> (I, O, k) with the taps reversed; its own inverse."""
     return np.ascontiguousarray(w.transpose(1, 0, 2)[:, :, ::-1])
+
+
+def _flipped(weights):
+    """_flip_swap of array or Tensor weights; a Tensor gets a graph node so
+    the gradient flows back to the stored layout."""
+    wf = _flip_swap(_value(weights))
+    if not isinstance(weights, Tensor):
+        return wf
+    return Tensor(wf, (weights,), lambda g: _accumulate(weights, _flip_swap(g)))
 
 
 def _with_batch(data: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -210,45 +207,32 @@ def conv1d(x: Tensor, weights, bias, spec: ConvSpec) -> Tensor:
     """Dilated 1-D convolution, weights (out_ch, in_ch, k), bias (out_ch,) or None."""
     if spec.transposed:
         raise ConfigError("conv1d needs a non-transposed spec")
-    wd = _value(weights)
-    if wd.shape != spec.weight_shape():
-        raise ShapeError(f"weights must be {spec.weight_shape()}, got {wd.shape}")
-    xd, squeeze = _with_batch(x.data)
-    if xd.shape[0] != spec.in_channels:
-        raise ShapeError(f"input has {xd.shape[0]} channels, spec wants {spec.in_channels}")
-    y = _corr(xd, wd, spec.padding, spec.dilation)
-    if bias is not None:
-        bd = _value(bias)
-        if bd.shape != (spec.out_channels,):
-            raise ShapeError(f"bias must be ({spec.out_channels},), got {bd.shape}")
-        y += bd[:, None, None]
-
-    def backward_fn(g):
-        g3 = g[:, :, None] if squeeze else g
-        dx = _corr(g3, _flip_swap(wd), spec.span - spec.padding, spec.dilation)
-        _accumulate(x, dx[..., 0] if squeeze else dx)
-        if isinstance(weights, Tensor):
-            _accumulate(weights, _corr_dw(xd, g3, spec.padding, spec.dilation,
-                                          spec.kernel_size))
-        if isinstance(bias, Tensor):
-            _accumulate(bias, g3.sum(axis=(1, 2)))
-
-    return Tensor(y[..., 0] if squeeze else y, _tensor_parents(x, weights, bias), backward_fn)
+    return _conv(x, weights, bias, spec)
 
 
 def conv1d_transposed(x: Tensor, weights, bias, spec: ConvSpec) -> Tensor:
     """Adjoint of conv1d at the same padding/dilation; weights (in_ch, out_ch, k)."""
     if not spec.transposed:
         raise ConfigError("conv1d_transposed needs a transposed spec")
+    return _conv(x, weights, bias, spec)
+
+
+def _conv(x: Tensor, weights, bias, spec: ConvSpec) -> Tensor:
+    """Shared body of conv1d and conv1d_transposed."""
     wd = _value(weights)
     if wd.shape != spec.weight_shape():
         raise ShapeError(f"weights must be {spec.weight_shape()}, got {wd.shape}")
     xd, squeeze = _with_batch(x.data)
     if xd.shape[0] != spec.in_channels:
         raise ShapeError(f"input has {xd.shape[0]} channels, spec wants {spec.in_channels}")
-    # scatter form == correlation with swapped/flipped taps and complementary padding
-    fwd_pad = spec.span - spec.padding
-    y = _corr(xd, _flip_swap(wd), fwd_pad, spec.dilation)
+    padding = spec.padding
+    if spec.transposed:
+        # the scatter form is a correlation with swapped, flipped taps and
+        # complementary padding
+        weights = _flipped(weights)
+        wd = _value(weights)
+        padding = spec.span - spec.padding
+    y = _corr(xd, wd, padding, spec.dilation)
     if bias is not None:
         bd = _value(bias)
         if bd.shape != (spec.out_channels,):
@@ -257,11 +241,11 @@ def conv1d_transposed(x: Tensor, weights, bias, spec: ConvSpec) -> Tensor:
 
     def backward_fn(g):
         g3 = g[:, :, None] if squeeze else g
-        dx = _corr(g3, wd, spec.padding, spec.dilation)
+        dx = _corr(g3, _flip_swap(wd), spec.span - padding, spec.dilation)
         _accumulate(x, dx[..., 0] if squeeze else dx)
         if isinstance(weights, Tensor):
-            dwf = _corr_dw(xd, g3, fwd_pad, spec.dilation, spec.kernel_size)
-            _accumulate(weights, _flip_swap(dwf))
+            _accumulate(weights, _corr_dw(xd, g3, padding, spec.dilation,
+                                          spec.kernel_size))
         if isinstance(bias, Tensor):
             _accumulate(bias, g3.sum(axis=(1, 2)))
 
@@ -412,29 +396,41 @@ def write_checkpoint(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
             fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
 
 
+def _is_array_entry(entry) -> bool:
+    return (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list)
+            and all(type(n) is int and n >= 0 for n in entry["shape"]))
+
+
 def read_checkpoint(path) -> tuple[dict, dict]:
-    """Read back (meta, arrays); raises ConfigError on a bad magic or version."""
+    """Read back (meta, arrays); raises ConfigError on a bad magic or version
+    and DataError on a truncated or malformed file."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    off = len(CHECKPOINT_MAGIC) + 12
+    if len(raw) < off:
+        raise DataError(f"{path}: {len(raw)} bytes, shorter than the "
+                        f"{off}-byte checkpoint header")
     if raw[:len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    version = struct.unpack_from("<I", raw, off)[0]
-    if version > CHECKPOINT_VERSION:
+    version, hlen = struct.unpack_from("<IQ", raw, len(CHECKPOINT_MAGIC))
+    if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    off += 4
-    hlen = struct.unpack_from("<Q", raw, off)[0]
-    off += 8
     try:
         header = json.loads(raw[off:off + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise DataError(f"{path}: corrupt checkpoint header: {err}") from None
     off += hlen
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise DataError(f"{path}: checkpoint header needs a 'meta' object "
+                        f"and an 'arrays' list")
     arrays = {}
-    for entry in header["arrays"]:
+    for index, entry in enumerate(header["arrays"]):
+        if not _is_array_entry(entry):
+            raise DataError(f"{path}: malformed checkpoint array entry {index}")
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        end = off + 8 * count
+        end = off + 8 * math.prod(shape)
         if end > len(raw):
             raise DataError(f"{path}: truncated checkpoint payload")
         arrays[entry["name"]] = np.frombuffer(

@@ -3,10 +3,18 @@
 These deliberately avoid the library's code paths: the Kalman reference
 inverts matrices by adjugate/cofactor expansion instead of linear solves,
 and the convolution reference is a direct triple loop over channels and
-taps.
+taps. The checkpoint builders at the end feed the loaders' error
+tests.
 """
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
+
+from danae.errors import ConfigError, DataError
+from danae.tensor_nn import CHECKPOINT_MAGIC, read_checkpoint, write_checkpoint
 
 
 def adjugate_inverse(m):
@@ -90,3 +98,47 @@ def random_spd(rng, n, scale=1.0):
 def relative_error(a, b):
     denom = max(abs(a), abs(b), 1e-8)
     return abs(a - b) / denom
+
+
+def header_only_checkpoint(header) -> bytes:
+    """Checkpoint bytes holding this JSON header and no array payload."""
+    blob = json.dumps(header).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<IQ", 1, len(blob)) + blob
+
+
+def corrupt_checkpoints(good_path, out_dir):
+    """Write broken variants of a valid model checkpoint.
+
+    Returns {case: (path, error class the loader must raise)}.
+    """
+    raw = Path(good_path).read_bytes()
+    meta, arrays = read_checkpoint(good_path)
+    files = {
+        "version_0": (raw[:9] + struct.pack("<I", 0) + raw[13:], ConfigError),
+        "13_bytes": (raw[:13], DataError),
+        "no_arrays": (header_only_checkpoint({"meta": meta}), DataError),
+        "bad_array_entry": (
+            header_only_checkpoint({"meta": meta, "arrays": [{"name": "enc0.w"}]}),
+            DataError),
+    }
+    cases = {}
+    for case, (data, error) in files.items():
+        path = Path(out_dir) / f"{case}.ckpt"
+        path.write_bytes(data)
+        cases[case] = (path, error)
+
+    renamed = [{**layer, "name": layer["name"].replace("std3", "dec3")}
+               for layer in meta["layers"]]
+    models = {
+        "unknown_layer": ({**meta, "layers": renamed},
+                          {k.replace("std3", "dec3"): v for k, v in arrays.items()}),
+        "missing_weight": (meta, {k: v for k, v in arrays.items() if k != "up1.w"}),
+        "enc0_dropped": ({**meta, "layers": meta["layers"][1:]},
+                         {k: v for k, v in arrays.items() if not k.startswith("enc0.")}),
+        "window_length_text": ({**meta, "window_length": "20"}, arrays),
+    }
+    for case, (case_meta, case_arrays) in models.items():
+        path = Path(out_dir) / f"{case}.ckpt"
+        write_checkpoint(path, case_meta, case_arrays)
+        cases[case] = (path, ConfigError)
+    return cases

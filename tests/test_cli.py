@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import danae
 from danae.cli import main
 from danae.dataio import read_angle_csv
+from danae.errors import ConfigError
 from danae.evalkit import deviations
+
+from helpers import corrupt_checkpoints
 
 NOISELESS = ["--duration", "4", "--gyro-noise", "0", "--gyro-bias", "0",
              "--accel-noise", "0", "--mag-noise", "0"]
@@ -133,6 +141,14 @@ class TestTrain:
                    "--angle", "roll", "--epochs", "0",
                    "--out", tmp_path / "m.ckpt") == 2
 
+    def test_same_seed_identical_checkpoints(self, trained, tmp_path):
+        a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+        for out in (a, b):
+            assert run("train", "--kf", trained["kf"], "--gt", trained["gt"],
+                       "--angle", "pitch", "--epochs", "1", "--seed", "6",
+                       "--stride", "5", "--out", out) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_manifest_records_settings(self, trained):
         manifest = json.loads(
             (trained["dir"] / "roll.ckpt.manifest.json").read_text())
@@ -161,6 +177,17 @@ class TestDenoise:
         bad.write_bytes(b"XXXX" + raw[4:])
         assert run("denoise", "--model", bad, "--kf", trained["kf"],
                    "--out", tmp_path / "d.csv") == 2
+
+    def test_corrupt_checkpoints_exit_cleanly(self, trained, tmp_path):
+        # a fresh interpreter per file, so a traceback would reach stderr
+        env = {**os.environ, "PYTHONPATH": str(Path(danae.__file__).parents[1])}
+        for case, (path, error) in corrupt_checkpoints(trained["model"], tmp_path).items():
+            proc = subprocess.run(
+                [sys.executable, "-m", "danae.cli", "denoise", "--model", str(path),
+                 "--kf", str(trained["kf"]), "--out", str(tmp_path / "d.csv")],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == (2 if issubclass(error, ConfigError) else 3), case
+            assert "Traceback" not in proc.stderr, case
 
 
 class TestEval:

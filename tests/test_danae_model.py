@@ -15,6 +15,7 @@ from danae.errors import ConfigError, InvalidInputError, ShapeError
 from danae.series import AngleSeries
 from danae.tensor_nn import Tensor, l2_loss
 
+from helpers import corrupt_checkpoints
 from test_tensor_nn import finite_difference_check
 
 
@@ -226,6 +227,13 @@ class TestSaveLoad:
         write_checkpoint(path, {"kind": "something-else"}, {})
         with pytest.raises(ConfigError):
             load_model(path)
+
+    def test_corrupt_checkpoints_rejected(self, tmp_path):
+        good = tmp_path / "good.ckpt"
+        save_model(good, build_model(0, channels=4), angle_id="roll")
+        for path, error in corrupt_checkpoints(good, tmp_path).values():
+            with pytest.raises(error):
+                load_model(path)
 
 
 class TestEndToEndNoiseless:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from danae.errors import ConfigError, ShapeError, StateError
+from danae.errors import ConfigError, DataError, ShapeError, StateError
 from danae.tensor_nn import (
     AdamState,
     ConvSpec,
@@ -17,7 +17,11 @@ from danae.tensor_nn import (
     write_checkpoint,
 )
 
-from helpers import conv1d_reference, conv1d_transposed_reference
+from helpers import (
+    conv1d_reference,
+    conv1d_transposed_reference,
+    header_only_checkpoint,
+)
 
 
 def _rand_conv_case(rng, transposed=False):
@@ -25,12 +29,13 @@ def _rand_conv_case(rng, transposed=False):
     out_ch = int(rng.integers(1, 4))
     k = int(rng.choice([1, 3, 5]))
     dilation = int(rng.integers(1, 4))
-    padding = int(rng.integers(0, dilation * (k - 1) + 1))
+    # padding up to span + 3 reaches over-padding and, for the transposed
+    # conv, the crop branch
+    padding = int(rng.integers(0, dilation * (k - 1) + 4))
     length = int(rng.integers(dilation * (k - 1) + 1, 14))
     spec = ConvSpec(in_ch, out_ch, k, dilation=dilation, padding=padding,
                     transposed=transposed)
-    if spec.out_length(length) < 1:
-        length = length + spec.span
+    length += max(0, 1 - spec.out_length(length))
     w = rng.normal(size=spec.weight_shape())
     b = rng.normal(size=out_ch)
     x = rng.normal(size=(in_ch, length))
@@ -332,6 +337,31 @@ class TestGradientsAgainstFiniteDifferences:
         finite_difference_check(build, [w, b, x], rng)
 
 
+class TestBatchedBackward:
+    @pytest.mark.parametrize("op", [conv1d, conv1d_transposed])
+    def test_gradients_are_sums_of_per_sample_gradients(self, op):
+        # l2_loss averages over the batch axis too, so the batched gradients
+        # are the per-sample ones summed and divided by the batch size
+        rng = np.random.default_rng(51)
+        batch = 3
+        for _ in range(20):
+            spec, w, b, x = _rand_conv_case(rng, transposed=op is conv1d_transposed)
+            xs = rng.normal(size=x.shape + (batch,))
+            target = rng.normal(size=(spec.out_channels, spec.out_length(x.shape[1]), batch))
+            wt, bt, xt = Tensor(w), Tensor(b), Tensor(xs)
+            backward(l2_loss(op(xt, wt, bt, spec), target))
+            dw, db, dx = np.zeros_like(w), np.zeros_like(b), np.zeros_like(xs)
+            for i in range(batch):
+                wi, bi, xi = Tensor(w), Tensor(b), Tensor(xs[:, :, i])
+                backward(l2_loss(op(xi, wi, bi, spec), target[:, :, i]))
+                dw += wi.grad
+                db += bi.grad
+                dx[:, :, i] = xi.grad
+            assert np.max(np.abs(batch * wt.grad - dw)) < 1e-12
+            assert np.max(np.abs(batch * bt.grad - db)) < 1e-12
+            assert np.max(np.abs(batch * xt.grad - dx)) < 1e-12
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))
@@ -410,6 +440,42 @@ class TestCheckpointFile:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(DataError, match="truncated"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [0, 2])
+    def test_other_versions_rejected(self, tmp_path, version):
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, {}, {"w": np.ones(2)})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:9] + version.to_bytes(4, "little") + raw[13:])
+        with pytest.raises(ConfigError, match="version"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [0, 9, 13, 20])
+    def test_short_file_rejected(self, tmp_path, size):
+        path = tmp_path / "state.ckpt"
+        write_checkpoint(path, {}, {})
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(DataError, match="shorter than"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        [],
+        {"arrays": []},
+        {"meta": {}},
+        {"meta": [], "arrays": []},
+        {"meta": {}, "arrays": {}},
+        {"meta": {}, "arrays": [7]},
+        {"meta": {}, "arrays": [{"name": "w"}]},
+        {"meta": {}, "arrays": [{"shape": [1]}]},
+        {"meta": {}, "arrays": [{"name": "w", "shape": [-1]}]},
+        {"meta": {}, "arrays": [{"name": "w", "shape": [1.5]}]},
+        {"meta": {}, "arrays": [{"name": 3, "shape": [1]}]},
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "state.ckpt"
+        path.write_bytes(header_only_checkpoint(header))
+        with pytest.raises(DataError, match="'meta' object|array entry"):
             read_checkpoint(path)
 
     def test_deterministic_bytes(self, tmp_path):
