@@ -66,9 +66,14 @@ class ConvLayer:
     bias: Tensor
     activate: bool = True
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+        """A Tensor input builds graph nodes; a plain array input gets a
+        plain array back and builds none."""
         op = conv1d_transposed if self.spec.transposed else conv1d
-        y = op(x, self.weight, self.bias, self.spec)
+        if isinstance(x, Tensor):
+            y = op(x, self.weight, self.bias, self.spec)
+        else:
+            y = op(x, self.weight.data, self.bias.data, self.spec)
         return activation(y) if self.activate else y
 
 
@@ -163,7 +168,7 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS,
     return DanaeModel(encoder, decoder_up, decoder_std, c, window_length)
 
 
-def _run(model: DanaeModel, x: Tensor) -> Tensor:
+def _run(model: DanaeModel, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     skips = []
     h = x
     for layer in model.encoder:
@@ -226,6 +231,11 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll",
     A window slides with stride 1 and every output sample is the mean of all
     window reconstructions that cover it. Windows are processed in order and
     accumulated in order, so the result is deterministic.
+
+    Each chunk of windows runs through the model as a plain array, so no
+    autograd graph is built: a layer's input is freed as soon as the next
+    layer has consumed it, and only the four encoder skips stay alive. The
+    values are bit-identical to a graph-building forward.
     """
     length = model.window_length
     n = len(series)
@@ -240,7 +250,7 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll",
     np.add.at(counts, starts[:, None] + offsets, 1.0)
     for lo in range(0, len(windows), chunk_size):
         part = slice(lo, min(lo + chunk_size, len(windows)))
-        recon = _run(model, Tensor(windows[part].T[None, :, :])).data[0].T
+        recon = _run(model, windows[part].T[None, :, :])[0].T
         np.add.at(total, starts[part, None] + offsets, recon)
     return series.with_angle(angle_id, total / counts)
 
@@ -319,4 +329,27 @@ def load_model(path) -> tuple[DanaeModel, dict]:
             f"{path}: layers {names} do not follow the DANAE wiring of "
             f"{wiring[0]} enc, {wiring[1]} up and {wiring[2]} std layers"
         )
+    _check_channels(path, model)
     return model, meta
+
+
+def _check_channels(path, model: DanaeModel) -> None:
+    """Raise ConfigError unless each layer takes the channel count fed to it:
+    one angle track into enc0, equal counts in each skip sum, one track out."""
+    width = 1
+    for name, layer in model.layers():
+        if name.startswith("std"):
+            skip_width = model.encoder[int(name[3:])].spec.out_channels
+            if skip_width != width:
+                raise ConfigError(
+                    f"{path}: layer {name} sums {skip_width} channels from enc{name[3:]} "
+                    f"with {width} channels from the layer before it"
+                )
+        if layer.spec.in_channels != width:
+            raise ConfigError(
+                f"{path}: layer {name} takes {layer.spec.in_channels} channels "
+                f"but is fed {width}"
+            )
+        width = layer.spec.out_channels
+    if width != 1:
+        raise ConfigError(f"{path}: layer {name} outputs {width} channels, not 1")

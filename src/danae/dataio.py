@@ -106,7 +106,11 @@ def _format_row(values) -> str:
 
 
 def read_table(path, expected_columns: int | None = None) -> np.ndarray:
-    """Read a numeric CSV (header row optional) into a 2-D float array."""
+    """Read a numeric CSV (header row optional) into a 2-D float array.
+
+    A cell that does not parse, or parses to NaN or an infinity, raises
+    DataError naming its file line.
+    """
     path = Path(path)
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -129,9 +133,16 @@ def read_table(path, expected_columns: int | None = None) -> np.ndarray:
                 f"{path}:{lineno}: expected {expected_columns} columns, got {len(cells)}"
             )
         try:
-            rows.append([float(c) for c in cells])
+            values = [float(c) for c in cells]
         except ValueError as err:
             raise DataError(f"{path}:{lineno}: {err}") from None
+        if not all(map(math.isfinite, values)):
+            col = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise DataError(
+                f"{path}:{lineno}: column {col + 1} holds {cells[col].strip()!r}, "
+                f"not a finite number"
+            )
+        rows.append(values)
     if not rows:
         raise DataError(f"{path}: no data rows")
     widths = {len(r) for r in rows}

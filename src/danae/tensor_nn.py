@@ -3,8 +3,12 @@
 Everything is float64 numpy. A Tensor wraps a value array plus a gradient
 slot; operations build a reverse-mode graph and backward() walks it once in
 topological order. Activations are (channels, length) arrays, optionally
-with a leading batch axis; parameters reuse the same Tensor type with their
+with a trailing batch axis; parameters reuse the same Tensor type with their
 natural shapes.
+
+The operations also take plain arrays: when no argument is a Tensor they
+return a plain array and build no graph node or closure, so inference keeps
+nothing alive beyond the activations it still needs.
 
 Convolutions use cross-correlation semantics (no kernel flip) at stride 1.
 The correlation is shift-and-add: one matrix product per kernel tap against
@@ -203,26 +207,27 @@ def _value(x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 
-def conv1d(x: Tensor, weights, bias, spec: ConvSpec) -> Tensor:
+def conv1d(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     """Dilated 1-D convolution, weights (out_ch, in_ch, k), bias (out_ch,) or None."""
     if spec.transposed:
         raise ConfigError("conv1d needs a non-transposed spec")
     return _conv(x, weights, bias, spec)
 
 
-def conv1d_transposed(x: Tensor, weights, bias, spec: ConvSpec) -> Tensor:
+def conv1d_transposed(x: Tensor | np.ndarray, weights, bias,
+                      spec: ConvSpec) -> Tensor | np.ndarray:
     """Adjoint of conv1d at the same padding/dilation; weights (in_ch, out_ch, k)."""
     if not spec.transposed:
         raise ConfigError("conv1d_transposed needs a transposed spec")
     return _conv(x, weights, bias, spec)
 
 
-def _conv(x: Tensor, weights, bias, spec: ConvSpec) -> Tensor:
+def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     """Shared body of conv1d and conv1d_transposed."""
     wd = _value(weights)
     if wd.shape != spec.weight_shape():
         raise ShapeError(f"weights must be {spec.weight_shape()}, got {wd.shape}")
-    xd, squeeze = _with_batch(x.data)
+    xd, squeeze = _with_batch(_value(x))
     if xd.shape[0] != spec.in_channels:
         raise ShapeError(f"input has {xd.shape[0]} channels, spec wants {spec.in_channels}")
     padding = spec.padding
@@ -238,22 +243,31 @@ def _conv(x: Tensor, weights, bias, spec: ConvSpec) -> Tensor:
         if bd.shape != (spec.out_channels,):
             raise ShapeError(f"bias must be ({spec.out_channels},), got {bd.shape}")
         y += bd[:, None, None]
+    y = y[..., 0] if squeeze else y
+    parents = _tensor_parents(x, weights, bias)
+    if not parents:
+        return y
 
     def backward_fn(g):
         g3 = g[:, :, None] if squeeze else g
-        dx = _corr(g3, _flip_swap(wd), spec.span - padding, spec.dilation)
-        _accumulate(x, dx[..., 0] if squeeze else dx)
+        if isinstance(x, Tensor):
+            dx = _corr(g3, _flip_swap(wd), spec.span - padding, spec.dilation)
+            _accumulate(x, dx[..., 0] if squeeze else dx)
         if isinstance(weights, Tensor):
             _accumulate(weights, _corr_dw(xd, g3, padding, spec.dilation,
                                           spec.kernel_size))
         if isinstance(bias, Tensor):
             _accumulate(bias, g3.sum(axis=(1, 2)))
 
-    return Tensor(y[..., 0] if squeeze else y, _tensor_parents(x, weights, bias), backward_fn)
+    return Tensor(y, parents, backward_fn)
 
 
-def activation(x: Tensor) -> Tensor:
+def activation(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Leaky rectifier: y = x where x > 0, else LEAKY_SLOPE * x."""
+    if not isinstance(x, Tensor):
+        xd = _value(x)
+        # bit-identical to the Tensor path's x * slope, NaN included
+        return np.maximum(xd, LEAKY_SLOPE * xd)
     slope = np.where(x.data > 0, 1.0, LEAKY_SLOPE)
     y = x.data * slope
 
@@ -263,16 +277,21 @@ def activation(x: Tensor) -> Tensor:
     return Tensor(y, (x,), backward_fn)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Elementwise sum of two same-shape tensors (the skip-sum primitive)."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"cannot add shapes {a.data.shape} and {b.data.shape}")
+    ad, bd = _value(a), _value(b)
+    if ad.shape != bd.shape:
+        raise ShapeError(f"cannot add shapes {ad.shape} and {bd.shape}")
+    y = ad + bd
+    parents = _tensor_parents(a, b)
+    if not parents:
+        return y
 
     def backward_fn(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        for t in parents:
+            _accumulate(t, g)
 
-    return Tensor(a.data + b.data, (a, b), backward_fn)
+    return Tensor(y, parents, backward_fn)
 
 
 def l2_loss(pred: Tensor, target) -> Tensor:

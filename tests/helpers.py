@@ -129,6 +129,8 @@ def corrupt_checkpoints(good_path, out_dir):
 
     renamed = [{**layer, "name": layer["name"].replace("std3", "dec3")}
                for layer in meta["layers"]]
+    widened = [{**layer, "in_channels": 2} if layer["name"] == "enc0" else layer
+               for layer in meta["layers"]]
     models = {
         "unknown_layer": ({**meta, "layers": renamed},
                           {k.replace("std3", "dec3"): v for k, v in arrays.items()}),
@@ -136,6 +138,9 @@ def corrupt_checkpoints(good_path, out_dir):
         "enc0_dropped": ({**meta, "layers": meta["layers"][1:]},
                          {k: v for k, v in arrays.items() if not k.startswith("enc0.")}),
         "window_length_text": ({**meta, "window_length": "20"}, arrays),
+        # array shapes match the layer, the channel chain does not
+        "enc0_two_channels": ({**meta, "layers": widened},
+                              {**arrays, "enc0.w": np.repeat(arrays["enc0.w"], 2, axis=1)}),
     }
     for case, (case_meta, case_arrays) in models.items():
         path = Path(out_dir) / f"{case}.ckpt"

@@ -84,6 +84,22 @@ class TestKf:
         assert run("kf", "--imu", tmp_path / "nope.csv",
                    "--out", tmp_path / "kf.csv") == 2
 
+    def test_non_finite_cell_exits_3_without_traceback(self, synth_dir, tmp_path):
+        lines = (synth_dir / "imu.csv").read_text().splitlines()
+        parts = lines[4].split(",")
+        parts[1] = "nan"
+        lines[4] = ",".join(parts)
+        bad = tmp_path / "imu.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(danae.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "danae.cli", "kf", "--imu", str(bad),
+             "--out", str(tmp_path / "kf.csv")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert "imu.csv:5: column 2 holds 'nan'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_output_rows_match_input(self, synth_dir, tmp_path):
         kf_path = tmp_path / "kf.csv"
         assert run("kf", "--imu", synth_dir / "imu.csv", "--out", kf_path) == 0

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from danae.danae_model import (
     TrainConfig,
+    _run,
     build_model,
     denoise_series,
     forward,
@@ -13,7 +16,7 @@ from danae.danae_model import (
 from danae.dataio import SynthConfig, WindowSet, make_windows, synth_trajectory
 from danae.errors import ConfigError, InvalidInputError, ShapeError
 from danae.series import AngleSeries
-from danae.tensor_nn import Tensor, l2_loss
+from danae.tensor_nn import ConvSpec, Tensor, l2_loss, read_checkpoint, write_checkpoint
 
 from helpers import corrupt_checkpoints
 from test_tensor_nn import finite_difference_check
@@ -163,7 +166,51 @@ class TestTrain:
             train(model, bad, TrainConfig(epochs=1, window_length=10))
 
 
+def _graph_denoise(model, series, angle_id, chunk_size=256):
+    """denoise_series as it was with a Tensor input: every chunk builds
+    and holds an autograd graph."""
+    length = model.window_length
+    n = len(series)
+    starts = np.arange(n - length + 1)
+    index = starts[:, None] + np.arange(length)
+    windows = series.angle(angle_id)[index]
+    total = np.zeros(n)
+    counts = np.zeros(n)
+    np.add.at(counts, index, 1.0)
+    for lo in range(0, len(windows), chunk_size):
+        part = slice(lo, lo + chunk_size)
+        recon = _run(model, Tensor(windows[part].T[None, :, :])).data[0].T
+        np.add.at(total, index[part], recon)
+    return total / counts
+
+
 class TestDenoiseSeries:
+    def test_bit_equal_to_graph_building_forward(self):
+        rng = np.random.default_rng(12)
+        model = build_model(5, channels=8)
+        n = 600  # three chunks, the last one short
+        series = AngleSeries(np.arange(n) * 0.01, rng.normal(size=(n, 3)) * 0.3)
+        out = denoise_series(model, series, "pitch")
+        assert out.pitch.tobytes() == _graph_denoise(model, series, "pitch").tobytes()
+
+    def test_holds_no_graph(self):
+        # the graph of a chunk keeps every layer's input, padded copy and
+        # slope alive; without it the peak is the live activations only
+        model = build_model(3, channels=16)
+        n = 1200
+        series = AngleSeries(np.arange(n) * 0.01,
+                             np.random.default_rng(13).normal(size=(n, 3)))
+        tracemalloc.start()
+        try:
+            _graph_denoise(model, series, "roll")
+            graph_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            denoise_series(model, series, "roll")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * graph_peak, (peak, graph_peak)
+
     def test_constant_series_interior_output_constant(self):
         # every window is identical, so every sample covered by all 20
         # offsets averages to the same value; the first/last 19 samples see
@@ -234,6 +281,38 @@ class TestSaveLoad:
         for path, error in corrupt_checkpoints(good, tmp_path).values():
             with pytest.raises(error):
                 load_model(path)
+
+
+def _rewired(meta, arrays, name, **fields):
+    """meta/arrays with one layer's channel fields changed and its arrays
+    resized to match."""
+    layers = [{**l, **fields} if l["name"] == name else l for l in meta["layers"]]
+    entry = next(l for l in layers if l["name"] == name)
+    spec = ConvSpec(entry["in_channels"], entry["out_channels"], entry["kernel_size"],
+                    transposed=entry["transposed"])
+    return ({**meta, "layers": layers},
+            {**arrays, f"{name}.w": np.zeros(spec.weight_shape()),
+             f"{name}.b": np.zeros(spec.out_channels)})
+
+
+class TestChannelChain:
+    @pytest.mark.parametrize("changes, message", [
+        ([("enc0", {"in_channels": 2})], "layer enc0 takes 2 channels but is fed 1"),
+        ([("std1", {"in_channels": 3})], "layer std1 takes 3 channels but is fed 4"),
+        ([("enc0", {"out_channels": 3}), ("enc1", {"in_channels": 3})],
+         "layer std0 sums 3 channels from enc0 with 4 channels"),
+        ([("std3", {"out_channels": 2})], "layer std3 outputs 2 channels, not 1"),
+    ])
+    def test_mismatch_names_file_and_layer(self, tmp_path, changes, message):
+        good = tmp_path / "good.ckpt"
+        save_model(good, build_model(0, channels=4), angle_id="roll")
+        meta, arrays = read_checkpoint(good)
+        for name, fields in changes:
+            meta, arrays = _rewired(meta, arrays, name, **fields)
+        path = tmp_path / "bad.ckpt"
+        write_checkpoint(path, meta, arrays)
+        with pytest.raises(ConfigError, match=f"bad.ckpt: {message}"):
+            load_model(path)
 
 
 class TestEndToEndNoiseless:

@@ -165,6 +165,44 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.mag, imu.mag)
 
 
+class TestNonFiniteCells:
+    # the bad row goes after a blank line, so the named line counts the
+    # header and blank lines as the file does
+    def _with_bad_cell(self, path, lines, row, col, cell, header=True):
+        parts = lines[row].split(",")
+        parts[col] = cell
+        lines = [*lines[:row], ",".join(parts), *lines[row + 1:]]
+        if not header:
+            lines = lines[1:]
+        lines.insert(2, "")
+        path.write_text("\n".join(lines) + "\n")
+        # row r of `lines` (header at 0) sits on file line r + 2 after the
+        # blank one, or r + 1 without the header
+        return row + 2 if header else row + 1
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    @pytest.mark.parametrize("col", [1, 5])
+    def test_imu_csv_names_the_line(self, tmp_path, cell, col):
+        imu, _ = synth_trajectory(SynthConfig(duration=0.2, seed=5))
+        path = tmp_path / "imu.csv"
+        write_imu_csv(path, imu)
+        lines = path.read_text().splitlines()
+        lineno = self._with_bad_cell(path, lines, 7, col, cell)
+        with pytest.raises(DataError, match=f"imu.csv:{lineno}: column {col + 1} "):
+            read_imu_csv(path)
+
+    @pytest.mark.parametrize("header", [True, False])
+    def test_angle_csv_names_the_first_bad_line(self, tmp_path, header):
+        series = AngleSeries(np.arange(12) * 0.01, np.zeros((12, 3)))
+        path = tmp_path / "angles.csv"
+        write_angle_csv(path, series)
+        lines = path.read_text().splitlines()
+        lines[9] = lines[9].rsplit(",", 1)[0] + ",inf"  # a later bad cell
+        lineno = self._with_bad_cell(path, lines, 4, 2, "nan", header)
+        with pytest.raises(DataError, match=f"angles.csv:{lineno}: column 3 holds 'nan'"):
+            read_angle_csv(path)
+
+
 class TestSynthTrajectory:
     def test_same_seed_bitwise_identical(self):
         cfg = SynthConfig(duration=2.0, seed=11)

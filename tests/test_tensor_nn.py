@@ -362,6 +362,57 @@ class TestBatchedBackward:
             assert np.max(np.abs(batch * xt.grad - dx)) < 1e-12
 
 
+class TestArrayPath:
+    """Plain-array arguments take the graph-free path: same values, bit for
+    bit, as the Tensor call, returned as a plain array with no node."""
+
+    @pytest.mark.parametrize("op", [conv1d, conv1d_transposed])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_conv_bit_equal_to_tensor_path(self, op, batch):
+        rng = np.random.default_rng(61)
+        for _ in range(60):
+            spec, w, b, x = _rand_conv_case(rng, transposed=op is conv1d_transposed)
+            if batch is not None:
+                x = rng.normal(size=x.shape + (batch,))
+            for bias in (b, None):
+                tensor_bias = None if bias is None else Tensor(bias)
+                ref = op(Tensor(x), Tensor(w), tensor_bias, spec)
+                y = op(x, w, bias, spec)
+                assert type(y) is np.ndarray
+                assert y.tobytes() == ref.data.tobytes()
+                assert y.shape == ref.data.shape
+
+    def test_activation_bit_equal_to_tensor_path(self):
+        rng = np.random.default_rng(62)
+        special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, -1e-300]
+        for x in (rng.normal(size=(4, 9)), rng.normal(size=(2, 7, 3)),
+                  np.array([special])):
+            y = activation(x)
+            assert type(y) is np.ndarray
+            assert y.tobytes() == activation(Tensor(x)).data.tobytes()
+
+    def test_add_bit_equal_to_tensor_path(self):
+        rng = np.random.default_rng(63)
+        a, b = rng.normal(size=(2, 3, 5, 4))
+        y = add(a, b)
+        assert type(y) is np.ndarray
+        assert y.tobytes() == add(Tensor(a), Tensor(b)).data.tobytes()
+        with pytest.raises(ShapeError):
+            add(a, b[:, :4])
+
+    def test_any_tensor_argument_builds_a_node(self):
+        rng = np.random.default_rng(64)
+        spec = ConvSpec(2, 3, 3, padding=1)
+        w = rng.normal(size=spec.weight_shape())
+        x = rng.normal(size=(2, 6))
+        wt = Tensor(w)
+        y = conv1d(x, wt, None, spec)
+        assert isinstance(y, Tensor)
+        assert isinstance(add(y.data, y), Tensor)
+        backward(l2_loss(activation(y), np.zeros((3, 6))))
+        assert wt.grad is not None and np.any(wt.grad != 0.0)
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))
