@@ -264,12 +264,11 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
 
 def activation(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Leaky rectifier: y = x where x > 0, else LEAKY_SLOPE * x."""
+    xd = _value(x)
+    y = np.maximum(xd, LEAKY_SLOPE * xd)
     if not isinstance(x, Tensor):
-        xd = _value(x)
-        # bit-identical to the Tensor path's x * slope, NaN included
-        return np.maximum(xd, LEAKY_SLOPE * xd)
-    slope = np.where(x.data > 0, 1.0, LEAKY_SLOPE)
-    y = x.data * slope
+        return y
+    slope = np.where(xd > 0, 1.0, LEAKY_SLOPE)
 
     def backward_fn(g):
         _accumulate(x, g * slope)

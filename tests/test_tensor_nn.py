@@ -382,14 +382,20 @@ class TestArrayPath:
                 assert y.tobytes() == ref.data.tobytes()
                 assert y.shape == ref.data.shape
 
-    def test_activation_bit_equal_to_tensor_path(self):
+    def test_activation_bit_equal_to_slope_product(self):
+        # the product form x * slope is the rectifier's definition; the
+        # maximum form must match it bit for bit, special values included
         rng = np.random.default_rng(62)
         special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, -1e-300]
         for x in (rng.normal(size=(4, 9)), rng.normal(size=(2, 7, 3)),
                   np.array([special])):
+            ref = x * np.where(x > 0, 1.0, 0.01)
             y = activation(x)
             assert type(y) is np.ndarray
-            assert y.tobytes() == activation(Tensor(x)).data.tobytes()
+            assert y.tobytes() == ref.tobytes()
+            yt = activation(Tensor(x))
+            assert isinstance(yt, Tensor)
+            assert yt.data.tobytes() == ref.tobytes()
 
     def test_add_bit_equal_to_tensor_path(self):
         rng = np.random.default_rng(63)
