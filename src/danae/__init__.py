@@ -32,7 +32,6 @@ from .dataio import (
     AngleSeries,
     FractionSplit,
     ImuSeries,
-    SessionHoldout,
     SynthConfig,
     WindowSet,
     euler_to_quat,
@@ -66,7 +65,7 @@ __all__ = [
     "DanaeModel", "TrainConfig", "build_model", "forward", "train",
     "denoise_series", "save_model", "load_model",
     "AngleSeries", "ImuSeries", "WindowSet", "SynthConfig",
-    "FractionSplit", "SessionHoldout",
+    "FractionSplit",
     "quat_to_euler", "euler_to_quat", "load_oxiod", "load_ucs",
     "synth_trajectory", "make_windows", "split",
     "read_angle_csv", "write_angle_csv",

@@ -136,6 +136,11 @@ def gyro_delta(gyro, roll: float, pitch: float, dt: float) -> np.ndarray:
     return euler_rate_matrix(roll, pitch) @ w * dt
 
 
+def _predict(x, P, cfg: KfConfig, u) -> tuple[np.ndarray, np.ndarray]:
+    """The prior of one step: x' = Ax + Bu, P' = APA^T + Q."""
+    return cfg.A @ x + cfg.B @ u, cfg.A @ P @ cfg.A.T + cfg.Q
+
+
 def kf_step(state: KfState, cfg: KfConfig, u, y) -> KfState:
     """One predict/update cycle; returns the new posterior.
 
@@ -146,8 +151,7 @@ def kf_step(state: KfState, cfg: KfConfig, u, y) -> KfState:
     y = np.asarray(y, dtype=float).reshape(-1)
     if u.shape[0] != cfg.n or y.shape[0] != cfg.n:
         raise ShapeError(f"u and y must have dimension {cfg.n}")
-    x_pred = cfg.A @ state.x + cfg.B @ u
-    P_pred = cfg.A @ state.P @ cfg.A.T + cfg.Q
+    x_pred, P_pred = _predict(state.x, state.P, cfg, u)
     S = cfg.C @ P_pred @ cfg.C.T + cfg.R
     cond = np.linalg.cond(S)
     if not np.isfinite(cond) or cond > MAX_INNOVATION_COND:
@@ -160,12 +164,6 @@ def kf_step(state: KfState, cfg: KfConfig, u, y) -> KfState:
     P_new = (np.eye(cfg.n) - K @ cfg.C) @ P_pred
     P_new = 0.5 * (P_new + P_new.T)
     return KfState(x_new, P_new)
-
-
-def _predict_only(state: KfState, cfg: KfConfig, u) -> KfState:
-    x_pred = cfg.A @ state.x + cfg.B @ u
-    P_pred = cfg.A @ state.P @ cfg.A.T + cfg.Q
-    return KfState(x_pred, 0.5 * (P_pred + P_pred.T))
 
 
 def _measure(accel, mag):
@@ -197,13 +195,15 @@ def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
     for i in range(1, len(series)):
         dt = series.t[i] - series.t[i - 1]
         u = gyro_delta(series.gyro[i], state.x[0], state.x[1], dt)
+        x_pred, P_pred = _predict(state.x, state.P, cfg, u)
         try:
             y = _measure(series.accel[i], series.mag[i])
         except (InvalidInputError, NumericalError) as err:
             log.warning("sample %d: %s; skipping measurement update", i, err)
-            state = _predict_only(state, cfg, u)
+            state = KfState(x_pred, 0.5 * (P_pred + P_pred.T))
         else:
-            x_pred = cfg.A @ state.x + cfg.B @ u
+            # the update goes through the public kf_step, which repeats the
+            # prediction, so kf_step runs exactly once per measurement update
             y = cfg.C @ x_pred + wrap_angle(y - cfg.C @ x_pred)
             state = kf_step(state, cfg, u, y)
         out[i] = state.x

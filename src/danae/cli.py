@@ -174,14 +174,20 @@ def cmd_kf(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
-    seed = _resolve_seed(args.seed, 0)
+def _train_config(args, seed: int) -> TrainConfig:
+    """The validated training settings shared by train and pipeline."""
     cfg = TrainConfig(epochs=args.epochs, seed=seed, batch_size=args.batch_size,
                       lr=args.lr)
     cfg.validate()
     if args.stride < 1:
         raise ConfigError("--stride must be >= 1")
+    return cfg
+
+
+def cmd_train(args) -> int:
+    started = time.perf_counter()
+    seed = _resolve_seed(args.seed, 0)
+    cfg = _train_config(args, seed)
     estimates = read_angle_csv(args.kf)
     truth = read_angle_csv(args.gt)
     windows = make_windows(estimates, truth, args.angle, stride=args.stride)
@@ -248,11 +254,16 @@ def cmd_pipeline(args) -> int:
     started = time.perf_counter()
     cfg = _synth_config(args)
     angles = [a.strip() for a in args.angles.split(",") if a.strip()]
-    for name in angles:
+    if not angles:
+        raise ConfigError("--angles names no angle")
+    for i, name in enumerate(angles):
         if name not in ANGLE_NAMES:
             raise ConfigError(f"unknown angle {name!r}")
+        if name in angles[:i]:
+            raise ConfigError(f"--angles names {name} twice")
     if not 0.0 < args.train_fraction < 1.0:
         raise ConfigError("--train-fraction must be in (0, 1)")
+    train_cfg = _train_config(args, cfg.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -266,9 +277,6 @@ def cmd_pipeline(args) -> int:
     kf_train, kf_test = split(estimates, policy)
     gt_train, gt_test = split(gt, policy)
 
-    train_cfg = TrainConfig(epochs=args.epochs, seed=cfg.seed,
-                            batch_size=args.batch_size, lr=args.lr)
-    train_cfg.validate()
     denoised = kf_test
     outputs = [out_dir / n for n in ("imu.csv", "gt.csv", "kf.csv")]
     for name in angles:

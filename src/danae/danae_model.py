@@ -4,11 +4,12 @@ whole-series inference.
 
 Architecture (window length 20, 128 channels in the shipped build):
 
-    encoder   enc1..enc4   standard dilated convs, dilations 1,2,4,8
-    decoder   std1, up1, std2, up2, std3, up3, std4
+    encoder   enc0..enc3   standard dilated convs, dilations 1,2,4,8
+    decoder   std0, up0, std1, up1, std2, up2, std3
               up*  = transposed dilated convs, dilations 4,2,1
-              std* = standard convs, dilation 1; std4 maps back to 1 channel
+              std* = standard convs, dilation 1; std3 maps back to 1 channel
     skip rule std_i consumes enc_i's output summed with the decoder stream
+              (std0's decoder stream is enc3's output)
 
 Every layer pads to preserve the window length (padding = dilation for the
 dilated layers), so all skip sums are shape-aligned. Hidden layers use the
@@ -130,12 +131,28 @@ class TrainConfig:
             raise ConfigError("window_length must be >= 1")
 
 
-def _init_layer(rng: np.random.Generator, spec: ConvSpec, activate: bool) -> ConvLayer:
-    # zero-mean uniform with scale 1/sqrt(fan_in), fan_in = in_channels * k
-    scale = 1.0 / np.sqrt(spec.in_channels * spec.kernel_size)
-    weight = Tensor(rng.uniform(-scale, scale, spec.weight_shape()))
-    bias = Tensor(np.zeros(spec.out_channels))
-    return ConvLayer(spec, weight, bias, activate)
+def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
+    """The DANAE network as (name, spec, activate) rows in forward order:
+    enc0..enc3, then std0, up0, std1, up1, std2, up2, std3.
+
+    This table is the only description of the architecture: build_model
+    draws its weights over it and load_model checks checkpoints against it.
+    """
+    c = channels
+    rows = [(f"enc{i}", ConvSpec(1 if i == 0 else c, c, dilation=d, padding=d), True)
+            for i, d in enumerate(ENCODER_DILATIONS)]
+    for i, d in enumerate(DECODER_UP_DILATIONS):
+        rows.append((f"std{i}", ConvSpec(c, c, padding=1), True))
+        rows.append((f"up{i}", ConvSpec(c, c, dilation=d, padding=d, transposed=True), True))
+    rows.append((f"std{len(DECODER_UP_DILATIONS)}", ConvSpec(c, 1, padding=1), False))
+    return rows
+
+
+def _assemble(layers: list[ConvLayer], channels: int, window_length: int) -> DanaeModel:
+    """A DanaeModel from layers in _architecture order: the encoder first,
+    then std and up layers alternating."""
+    n = len(ENCODER_DILATIONS)
+    return DanaeModel(layers[:n], layers[n + 1::2], layers[n::2], channels, window_length)
 
 
 def build_model(seed: int, channels: int = DEFAULT_CHANNELS,
@@ -145,27 +162,14 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS,
     Weights are drawn in forward-execution order from one generator, so a
     seed pins every parameter bit-for-bit.
     """
-    c = channels
     rng = np.random.default_rng(seed)
-    enc_specs = [
-        ConvSpec(1 if i == 0 else c, c, dilation=d, padding=d)
-        for i, d in enumerate(ENCODER_DILATIONS)
-    ]
-    up_specs = [
-        ConvSpec(c, c, dilation=d, padding=d, transposed=True)
-        for d in DECODER_UP_DILATIONS
-    ]
-    std_specs = [ConvSpec(c, c, dilation=1, padding=1) for _ in range(3)]
-    std_specs.append(ConvSpec(c, 1, dilation=1, padding=1))
-
-    encoder = [_init_layer(rng, s, True) for s in enc_specs]
-    decoder_std: list[ConvLayer] = []
-    decoder_up: list[ConvLayer] = []
-    for i in range(4):
-        decoder_std.append(_init_layer(rng, std_specs[i], activate=i < 3))
-        if i < 3:
-            decoder_up.append(_init_layer(rng, up_specs[i], True))
-    return DanaeModel(encoder, decoder_up, decoder_std, c, window_length)
+    layers = []
+    for _, spec, activate in _architecture(channels):
+        # zero-mean uniform with scale 1/sqrt(fan_in), fan_in = in_channels * k
+        scale = 1.0 / np.sqrt(spec.in_channels * spec.kernel_size)
+        weight = Tensor(rng.uniform(-scale, scale, spec.weight_shape()))
+        layers.append(ConvLayer(spec, weight, Tensor(np.zeros(spec.out_channels)), activate))
+    return _assemble(layers, channels, window_length)
 
 
 def _run(model: DanaeModel, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
@@ -258,17 +262,16 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll",
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _layer_meta(name: str, layer: ConvLayer) -> dict:
-    s = layer.spec
+def _layer_meta(name: str, spec: ConvSpec, activate: bool) -> dict:
     return {
         "name": name,
-        "in_channels": s.in_channels,
-        "out_channels": s.out_channels,
-        "kernel_size": s.kernel_size,
-        "dilation": s.dilation,
-        "padding": s.padding,
-        "transposed": s.transposed,
-        "activate": layer.activate,
+        "in_channels": spec.in_channels,
+        "out_channels": spec.out_channels,
+        "kernel_size": spec.kernel_size,
+        "dilation": spec.dilation,
+        "padding": spec.padding,
+        "transposed": spec.transposed,
+        "activate": activate,
     }
 
 
@@ -279,7 +282,8 @@ def save_model(path, model: DanaeModel, angle_id: str | None = None) -> None:
         "channels": model.channels,
         "window_length": model.window_length,
         "angle": angle_id,
-        "layers": [_layer_meta(name, layer) for name, layer in model.layers()],
+        "layers": [_layer_meta(name, layer.spec, layer.activate)
+                   for name, layer in model.layers()],
     }
     arrays: dict[str, np.ndarray] = {}
     for name, layer in model.layers():
@@ -289,67 +293,50 @@ def save_model(path, model: DanaeModel, angle_id: str | None = None) -> None:
 
 
 def load_model(path) -> tuple[DanaeModel, dict]:
-    """Rebuild a model from a checkpoint; returns (model, meta)."""
+    """Rebuild a model from a checkpoint; returns (model, meta).
+
+    The checkpoint's layer list must equal the DANAE architecture for its
+    channel count. The layers are built from that architecture; only the
+    weights and biases come from the file.
+    """
     meta, arrays = read_checkpoint(path)
     if meta.get("kind") != "danae-model":
         raise ConfigError(f"{path}: checkpoint does not hold a denoiser model")
-    groups: dict[str, list[ConvLayer]] = {"enc": [], "std": [], "up": []}
-    names = []
-    try:
-        for entry in meta["layers"]:
-            spec = ConvSpec(
-                entry["in_channels"], entry["out_channels"], entry["kernel_size"],
-                dilation=entry["dilation"], padding=entry["padding"],
-                transposed=entry["transposed"],
-            )
-            name = entry["name"]
-            if not isinstance(name, str) or name.rstrip("0123456789") not in groups:
-                raise ConfigError(f"{path}: unknown layer name {name!r}")
-            weight = arrays[f"{name}.w"]
-            bias = arrays[f"{name}.b"]
-            if weight.shape != spec.weight_shape() or bias.shape != (spec.out_channels,):
-                raise ShapeError(f"{path}: array shapes disagree with layer {name}")
-            layer = ConvLayer(spec, Tensor(weight), Tensor(bias), entry["activate"])
-            groups[name.rstrip("0123456789")].append(layer)
-            names.append(name)
-        if not all(type(meta[key]) is int and meta[key] >= 1
-                   for key in ("channels", "window_length")):
-            raise ConfigError(f"{path}: channels and window_length must be positive integers")
-        model = DanaeModel(groups["enc"], groups["up"], groups["std"],
-                           meta["channels"], meta["window_length"])
-    except KeyError as err:
-        raise ConfigError(f"{path}: model checkpoint has no {err}") from None
-    except TypeError as err:
-        raise ConfigError(f"{path}: malformed model checkpoint: {err}") from None
-    counts = (len(model.encoder), len(model.decoder_up), len(model.decoder_std))
-    wiring = (len(ENCODER_DILATIONS), len(DECODER_UP_DILATIONS),
-              len(DECODER_UP_DILATIONS) + 1)
-    if counts != wiring or names != [name for name, _ in model.layers()]:
-        raise ConfigError(
-            f"{path}: layers {names} do not follow the DANAE wiring of "
-            f"{wiring[0]} enc, {wiring[1]} up and {wiring[2]} std layers"
-        )
-    _check_channels(path, model)
-    return model, meta
+    if not all(type(meta.get(key)) is int and meta[key] >= 1
+               for key in ("channels", "window_length")):
+        raise ConfigError(f"{path}: channels and window_length must be positive integers")
+    rows = _architecture(meta["channels"])
+    _check_layers(path, meta.get("layers"), [_layer_meta(*row) for row in rows],
+                  meta["channels"])
+    layers = []
+    for name, spec, activate in rows:
+        for key in (f"{name}.w", f"{name}.b"):
+            if key not in arrays:
+                raise ConfigError(f"{path}: model checkpoint has no array {key!r}")
+        weight, bias = arrays[f"{name}.w"], arrays[f"{name}.b"]
+        if weight.shape != spec.weight_shape() or bias.shape != (spec.out_channels,):
+            raise ShapeError(f"{path}: array shapes disagree with layer {name}")
+        layers.append(ConvLayer(spec, Tensor(weight), Tensor(bias), activate))
+    return _assemble(layers, meta["channels"], meta["window_length"]), meta
 
 
-def _check_channels(path, model: DanaeModel) -> None:
-    """Raise ConfigError unless each layer takes the channel count fed to it:
-    one angle track into enc0, equal counts in each skip sum, one track out."""
-    width = 1
-    for name, layer in model.layers():
-        if name.startswith("std"):
-            skip_width = model.encoder[int(name[3:])].spec.out_channels
-            if skip_width != width:
-                raise ConfigError(
-                    f"{path}: layer {name} sums {skip_width} channels from enc{name[3:]} "
-                    f"with {width} channels from the layer before it"
-                )
-        if layer.spec.in_channels != width:
-            raise ConfigError(
-                f"{path}: layer {name} takes {layer.spec.in_channels} channels "
-                f"but is fed {width}"
-            )
-        width = layer.spec.out_channels
-    if width != 1:
-        raise ConfigError(f"{path}: layer {name} outputs {width} channels, not 1")
+def _check_layers(path, layers, expected: list[dict], channels: int) -> None:
+    """Raise ConfigError unless a checkpoint's layer list equals `expected`,
+    naming the first layer that differs and each of its differing fields."""
+    if layers == expected:
+        return
+    if not isinstance(layers, list):
+        raise ConfigError(f"{path}: model checkpoint has no layer list")
+    index = next((i for i, (got, want) in enumerate(zip(layers, expected)) if got != want),
+                 None)
+    if index is None:
+        raise ConfigError(f"{path}: {len(layers)} layers, but the DANAE architecture "
+                          f"has {len(expected)}")
+    got, want = layers[index], expected[index]
+    got = got if isinstance(got, dict) else {}
+    diffs = [f"{key} {got[key]!r} (expected {value!r})" if key in got
+             else f"no {key} (expected {value!r})"
+             for key, value in want.items() if key not in got or got[key] != value]
+    diffs += [f"unexpected field {key!r}" for key in got if key not in want]
+    raise ConfigError(f"{path}: layer {want['name']} differs from the DANAE architecture "
+                      f"for {channels} channels: {', '.join(diffs)}")

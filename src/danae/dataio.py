@@ -38,7 +38,6 @@ __all__ = [
     "WindowSet",
     "SynthConfig",
     "FractionSplit",
-    "SessionHoldout",
     "quat_to_euler",
     "euler_to_quat",
     "load_oxiod",
@@ -419,32 +418,16 @@ class FractionSplit:
     fraction: float = 0.8
 
 
-@dataclass(frozen=True)
-class SessionHoldout:
-    """Hold one session out of a list of sessions as the test set."""
-
-    test_session: int = 0
-
-
 def split(dataset, policy):
     """Partition a dataset into (train, test) without reordering anything.
 
     FractionSplit slices any sequence-like dataset at floor(fraction * N).
-    SessionHoldout takes a list of sessions and returns (others, [held-out]).
     """
     if isinstance(policy, FractionSplit):
         if not 0.0 < policy.fraction < 1.0:
             raise InvalidInputError("fraction must be in (0, 1)")
         cut = int(math.floor(policy.fraction * len(dataset)))
         return dataset[:cut], dataset[cut:]
-    if isinstance(policy, SessionHoldout):
-        sessions = list(dataset)
-        if len(sessions) < 2:
-            raise InvalidInputError("session holdout needs at least 2 sessions")
-        k = policy.test_session
-        if not 0 <= k < len(sessions):
-            raise InvalidInputError(f"no session {k} in a list of {len(sessions)}")
-        return sessions[:k] + sessions[k + 1:], [sessions[k]]
     raise ConfigError(f"unknown split policy: {policy!r}")
 
 

@@ -127,9 +127,11 @@ def corrupt_checkpoints(good_path, out_dir):
         path.write_bytes(data)
         cases[case] = (path, error)
 
+    def changed(name, **fields):
+        return [{**layer, **fields} if layer["name"] == name else layer
+                for layer in meta["layers"]]
+
     renamed = [{**layer, "name": layer["name"].replace("std3", "dec3")}
-               for layer in meta["layers"]]
-    widened = [{**layer, "in_channels": 2} if layer["name"] == "enc0" else layer
                for layer in meta["layers"]]
     models = {
         "unknown_layer": ({**meta, "layers": renamed},
@@ -139,8 +141,15 @@ def corrupt_checkpoints(good_path, out_dir):
                          {k: v for k, v in arrays.items() if not k.startswith("enc0.")}),
         "window_length_text": ({**meta, "window_length": "20"}, arrays),
         # array shapes match the layer, the channel chain does not
-        "enc0_two_channels": ({**meta, "layers": widened},
+        "enc0_two_channels": ({**meta, "layers": changed("enc0", in_channels=2)},
                               {**arrays, "enc0.w": np.repeat(arrays["enc0.w"], 2, axis=1)}),
+        # array shapes and channels match, the window length or the network does not
+        "enc1_padding_0": ({**meta, "layers": changed("enc1", padding=0)}, arrays),
+        "enc2_dilation_2": ({**meta, "layers": changed("enc2", dilation=2, padding=2)},
+                            arrays),
+        "std3_activated": ({**meta, "layers": changed("std3", activate=True)}, arrays),
+        # a channel count no layer has, so loading must not size anything by it
+        "channels_too_wide": ({**meta, "channels": 100000}, arrays),
     }
     for case, (case_meta, case_arrays) in models.items():
         path = Path(out_dir) / f"{case}.ckpt"

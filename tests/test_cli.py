@@ -246,3 +246,12 @@ class TestPipeline:
     def test_unknown_angle_exits_2(self, tmp_path):
         assert run("pipeline", "--out-dir", tmp_path / "x", "--duration", "6",
                    "--angles", "heading") == 2
+
+    @pytest.mark.parametrize("flags", [
+        ("--stride", "0"), ("--epochs", "0"), ("--angles", ","),
+        ("--angles", "roll,roll"),
+    ], ids=["stride_0", "epochs_0", "no_angle", "angle_twice"])
+    def test_bad_setting_exits_2_before_synth(self, tmp_path, flags):
+        out = tmp_path / "x"
+        assert run("pipeline", "--out-dir", out, "--duration", "6", *flags) == 2
+        assert not (out / "imu.csv").exists()

@@ -282,6 +282,17 @@ class TestSaveLoad:
             with pytest.raises(error):
                 load_model(path)
 
+    @pytest.mark.parametrize("case, layer", [
+        ("enc1_padding_0", "enc1"), ("enc2_dilation_2", "enc2"),
+        ("std3_activated", "std3"), ("channels_too_wide", "enc0"),
+    ])
+    def test_architecture_mismatch_names_file_and_layer(self, tmp_path, case, layer):
+        good = tmp_path / "good.ckpt"
+        save_model(good, build_model(0, channels=4), angle_id="roll")
+        path, _ = corrupt_checkpoints(good, tmp_path)[case]
+        with pytest.raises(ConfigError, match=f"{case}.ckpt: layer {layer} differs"):
+            load_model(path)
+
 
 def _rewired(meta, arrays, name, **fields):
     """meta/arrays with one layer's channel fields changed and its arrays
@@ -296,22 +307,28 @@ def _rewired(meta, arrays, name, **fields):
 
 
 class TestChannelChain:
-    @pytest.mark.parametrize("changes, message", [
+    # `defect` says how each case breaks the channel chain; the error names
+    # the first layer whose entry differs from the architecture, and its field
+    @pytest.mark.parametrize("changes, defect", [
         ([("enc0", {"in_channels": 2})], "layer enc0 takes 2 channels but is fed 1"),
         ([("std1", {"in_channels": 3})], "layer std1 takes 3 channels but is fed 4"),
         ([("enc0", {"out_channels": 3}), ("enc1", {"in_channels": 3})],
          "layer std0 sums 3 channels from enc0 with 4 channels"),
         ([("std3", {"out_channels": 2})], "layer std3 outputs 2 channels, not 1"),
     ])
-    def test_mismatch_names_file_and_layer(self, tmp_path, changes, message):
+    def test_mismatch_names_file_and_layer(self, tmp_path, changes, defect):
         good = tmp_path / "good.ckpt"
         save_model(good, build_model(0, channels=4), angle_id="roll")
         meta, arrays = read_checkpoint(good)
-        for name, fields in changes:
-            meta, arrays = _rewired(meta, arrays, name, **fields)
+        name, fields = changes[0]
+        (field, value), = fields.items()
+        want = next(l for l in meta["layers"] if l["name"] == name)[field]
+        for layer, layer_fields in changes:
+            meta, arrays = _rewired(meta, arrays, layer, **layer_fields)
         path = tmp_path / "bad.ckpt"
         write_checkpoint(path, meta, arrays)
-        with pytest.raises(ConfigError, match=f"bad.ckpt: {message}"):
+        with pytest.raises(ConfigError, match=rf"bad.ckpt: layer {name} differs .*: "
+                                              rf"{field} {value} \(expected {want}\)$"):
             load_model(path)
 
 

@@ -7,7 +7,6 @@ import pytest
 from danae.attitude_kf import gyro_delta, integrate_gyro, run_kf
 from danae.dataio import (
     FractionSplit,
-    SessionHoldout,
     SynthConfig,
     euler_to_quat,
     load_oxiod,
@@ -311,16 +310,6 @@ class TestSplit:
         train, test = split(series, FractionSplit(0.8))
         assert len(train) == 40 and len(test) == 10
         assert test.t[0] == pytest.approx(4.0)
-
-    def test_session_holdout(self):
-        sessions = [f"run{i}" for i in range(10)]
-        train, test = split(sessions, SessionHoldout(test_session=0))
-        assert len(train) == 9 and test == ["run0"]
-        assert "run0" not in train
-
-    def test_session_holdout_needs_two_sessions(self):
-        with pytest.raises(InvalidInputError):
-            split(["only"], SessionHoldout())
 
     def test_disjoint_and_exhaustive(self):
         rng = np.random.default_rng(23)
