@@ -2,7 +2,8 @@
 fixed-length windows of one Euler-angle track, plus training and
 whole-series inference.
 
-Architecture (window length 20, 128 channels in the shipped build):
+Architecture (windows of dataio.DEFAULT_WINDOW samples, 128 channels in the
+shipped build):
 
     encoder   enc0..enc3   standard dilated convs, dilations 1,2,4,8
     decoder   std0, up0, std1, up1, std2, up2, std3
@@ -18,11 +19,12 @@ leaky rectifier; the final conv is linear because angles are unbounded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import WindowSet
+from .dataio import DEFAULT_WINDOW, WindowSet, sliding_windows
 from .errors import ConfigError, InvalidInputError, ShapeError
 from .series import AngleSeries
 from .tensor_nn import (
@@ -53,7 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_CHANNELS = 128
-DEFAULT_WINDOW = 20
+# windows per model call in denoise_series
+DENOISE_CHUNK = 256
 ENCODER_DILATIONS = (1, 2, 4, 8)
 DECODER_UP_DILATIONS = (4, 2, 1)
 
@@ -86,7 +89,6 @@ class DanaeModel:
     decoder_up: list[ConvLayer]
     decoder_std: list[ConvLayer]
     channels: int = DEFAULT_CHANNELS
-    window_length: int = DEFAULT_WINDOW
 
     def layers(self) -> list[tuple[str, ConvLayer]]:
         """(name, layer) pairs in forward-execution order."""
@@ -113,22 +115,21 @@ class DanaeModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Knobs for train(); the shipped architecture fixes the window at 20."""
+    """Settings for train(); each epoch shuffles the windows with an order
+    drawn from `seed`, and the window length is always DEFAULT_WINDOW."""
 
     epochs: int = 50
     seed: int = 0
-    window_length: int = DEFAULT_WINDOW
     batch_size: int = 16
     lr: float = 0.002
-    shuffle: bool = True
 
     def validate(self) -> None:
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.window_length < 1:
-            raise ConfigError("window_length must be >= 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
 
 
 def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
@@ -148,15 +149,14 @@ def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
     return rows
 
 
-def _assemble(layers: list[ConvLayer], channels: int, window_length: int) -> DanaeModel:
+def _assemble(layers: list[ConvLayer], channels: int) -> DanaeModel:
     """A DanaeModel from layers in _architecture order: the encoder first,
     then std and up layers alternating."""
     n = len(ENCODER_DILATIONS)
-    return DanaeModel(layers[:n], layers[n + 1::2], layers[n::2], channels, window_length)
+    return DanaeModel(layers[:n], layers[n + 1::2], layers[n::2], channels)
 
 
-def build_model(seed: int, channels: int = DEFAULT_CHANNELS,
-                window_length: int = DEFAULT_WINDOW) -> DanaeModel:
+def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
     """Construct the denoiser with seed-determined initial weights.
 
     Weights are drawn in forward-execution order from one generator, so a
@@ -169,7 +169,7 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS,
         scale = 1.0 / np.sqrt(spec.in_channels * spec.kernel_size)
         weight = Tensor(rng.uniform(-scale, scale, spec.weight_shape()))
         layers.append(ConvLayer(spec, weight, Tensor(np.zeros(spec.out_channels)), activate))
-    return _assemble(layers, channels, window_length)
+    return _assemble(layers, channels)
 
 
 def _run(model: DanaeModel, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
@@ -187,12 +187,10 @@ def _run(model: DanaeModel, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
 
 
 def forward(model: DanaeModel, window) -> Tensor:
-    """Reconstruct one (1, window_length) window."""
+    """Reconstruct one (1, DEFAULT_WINDOW) window."""
     x = window if isinstance(window, Tensor) else Tensor(window)
-    if x.data.shape != (1, model.window_length):
-        raise ShapeError(
-            f"expected shape (1, {model.window_length}), got {x.data.shape}"
-        )
+    if x.data.shape != (1, DEFAULT_WINDOW):
+        raise ShapeError(f"expected shape (1, {DEFAULT_WINDOW}), got {x.data.shape}")
     return _run(model, x)
 
 
@@ -201,10 +199,9 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
     cfg.validate()
     if len(windows) == 0:
         raise InvalidInputError("cannot train on an empty window set")
-    if windows.window_length != model.window_length or cfg.window_length != model.window_length:
+    if windows.window_length != DEFAULT_WINDOW:
         raise ShapeError(
-            f"window length mismatch: data {windows.window_length}, "
-            f"config {cfg.window_length}, model {model.window_length}"
+            f"windows are {windows.window_length} samples long, the model takes {DEFAULT_WINDOW}"
         )
     params = model.parameters()
     state = AdamState.for_params(params, lr=cfg.lr)
@@ -212,7 +209,7 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
     count = len(windows)
     history = []
     for _ in range(cfg.epochs):
-        order = rng.permutation(count) if cfg.shuffle else np.arange(count)
+        order = rng.permutation(count)
         total = 0.0
         for start in range(0, count, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
@@ -228,34 +225,30 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
     return history
 
 
-def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll",
-                   chunk_size: int = 256) -> AngleSeries:
+def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> AngleSeries:
     """Denoise one angle track of a series; other tracks pass through.
 
-    A window slides with stride 1 and every output sample is the mean of all
-    window reconstructions that cover it. Windows are processed in order and
-    accumulated in order, so the result is deterministic.
+    A DEFAULT_WINDOW-long window slides with stride 1 and every output sample
+    is the mean of all window reconstructions that cover it, added in window
+    order, so the result is deterministic.
 
-    Each chunk of windows runs through the model as a plain array, so no
-    autograd graph is built: a layer's input is freed as soon as the next
-    layer has consumed it, and only the four encoder skips stay alive. The
-    values are bit-identical to a graph-building forward.
+    Each chunk of DENOISE_CHUNK windows runs through the model as a plain
+    array, so no autograd graph is built: a layer's input is freed as soon as
+    the next layer has consumed it, and only the four encoder skips stay
+    alive. The values are bit-identical to a graph-building forward.
     """
-    length = model.window_length
     n = len(series)
-    if n < length:
-        raise InvalidInputError(f"series must have at least {length} samples")
-    track = series.angle(angle_id)
-    starts = np.arange(n - length + 1)
-    offsets = np.arange(length)
-    windows = track[starts[:, None] + offsets]
+    if n < DEFAULT_WINDOW:
+        raise InvalidInputError(f"series must have at least {DEFAULT_WINDOW} samples")
+    windows = sliding_windows(series.angle(angle_id))
     total = np.zeros(n)
-    counts = np.zeros(n)
-    np.add.at(counts, starts[:, None] + offsets, 1.0)
-    for lo in range(0, len(windows), chunk_size):
-        part = slice(lo, min(lo + chunk_size, len(windows)))
-        recon = _run(model, windows[part].T[None, :, :])[0].T
-        np.add.at(total, starts[part, None] + offsets, recon)
+    for lo in range(0, len(windows), DENOISE_CHUNK):
+        recon = _run(model, windows[lo:lo + DENOISE_CHUNK].T[None, :, :])[0]
+        # row j is offset j of each window; last row first adds each
+        # sample's reconstructions in window order
+        for j in reversed(range(DEFAULT_WINDOW)):
+            total[lo + j:lo + j + recon.shape[1]] += recon[j]
+    counts = np.convolve(np.ones(len(windows)), np.ones(DEFAULT_WINDOW))
     return series.with_angle(angle_id, total / counts)
 
 
@@ -280,7 +273,7 @@ def save_model(path, model: DanaeModel, angle_id: str | None = None) -> None:
     meta = {
         "kind": "danae-model",
         "channels": model.channels,
-        "window_length": model.window_length,
+        "window_length": DEFAULT_WINDOW,
         "angle": angle_id,
         "layers": [_layer_meta(name, layer.spec, layer.activate)
                    for name, layer in model.layers()],
@@ -295,16 +288,19 @@ def save_model(path, model: DanaeModel, angle_id: str | None = None) -> None:
 def load_model(path) -> tuple[DanaeModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, meta).
 
-    The checkpoint's layer list must equal the DANAE architecture for its
-    channel count. The layers are built from that architecture; only the
-    weights and biases come from the file.
+    The checkpoint's window length must be DEFAULT_WINDOW and its layer
+    list must equal the DANAE architecture for its channel count; anything
+    else is a ConfigError naming the file. The layers are built from that
+    architecture; only the weights and biases come from the file.
     """
     meta, arrays = read_checkpoint(path)
     if meta.get("kind") != "danae-model":
         raise ConfigError(f"{path}: checkpoint does not hold a denoiser model")
-    if not all(type(meta.get(key)) is int and meta[key] >= 1
-               for key in ("channels", "window_length")):
-        raise ConfigError(f"{path}: channels and window_length must be positive integers")
+    if not (type(meta.get("channels")) is int and meta["channels"] >= 1):
+        raise ConfigError(f"{path}: channels must be a positive integer")
+    if meta.get("window_length") != DEFAULT_WINDOW:
+        raise ConfigError(f"{path}: window_length {meta.get('window_length')!r}, but the "
+                          f"denoiser takes {DEFAULT_WINDOW}-sample windows")
     rows = _architecture(meta["channels"])
     _check_layers(path, meta.get("layers"), [_layer_meta(*row) for row in rows],
                   meta["channels"])
@@ -317,7 +313,7 @@ def load_model(path) -> tuple[DanaeModel, dict]:
         if weight.shape != spec.weight_shape() or bias.shape != (spec.out_channels,):
             raise ShapeError(f"{path}: array shapes disagree with layer {name}")
         layers.append(ConvLayer(spec, Tensor(weight), Tensor(bias), activate))
-    return _assemble(layers, meta["channels"], meta["window_length"]), meta
+    return _assemble(layers, meta["channels"]), meta
 
 
 def _check_layers(path, layers, expected: list[dict], channels: int) -> None:

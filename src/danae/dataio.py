@@ -44,6 +44,7 @@ __all__ = [
     "load_ucs",
     "synth_trajectory",
     "make_windows",
+    "sliding_windows",
     "split",
     "read_table",
     "read_angle_csv",
@@ -58,6 +59,8 @@ STANDARD_GRAVITY = 9.80665
 # Fixed world magnetic field: unit vector pointing north with a 52 deg
 # downward dip, a mid-latitude value.
 WORLD_MAG_FIELD = np.array([math.cos(math.radians(52.0)), 0.0, math.sin(math.radians(52.0))])
+
+DEFAULT_WINDOW = 20  # the denoiser's window length, for training and inference
 
 OXIOD_IMU_COLUMNS = 16
 OXIOD_VICON_COLUMNS = 8
@@ -368,8 +371,8 @@ def synth_trajectory(cfg: SynthConfig) -> tuple[ImuSeries, AngleSeries]:
 class WindowSet:
     """Aligned (estimate, truth) training windows for one angle."""
 
-    inputs: np.ndarray   # (M, window_length)
-    targets: np.ndarray  # (M, window_length)
+    inputs: np.ndarray   # (M, DEFAULT_WINDOW)
+    targets: np.ndarray  # (M, DEFAULT_WINDOW)
     angle_id: str
 
     def __post_init__(self):
@@ -386,27 +389,26 @@ class WindowSet:
         return self.inputs.shape[1]
 
 
-def _sliding(track: np.ndarray, length: int, stride: int) -> np.ndarray:
-    count = (len(track) - length) // stride + 1
-    starts = np.arange(count) * stride
-    return track[starts[:, None] + np.arange(length)]
+def sliding_windows(track: np.ndarray, stride: int = 1) -> np.ndarray:
+    """The DEFAULT_WINDOW-long windows of a track, one per `stride` samples (read-only view)."""
+    return np.lib.stride_tricks.sliding_window_view(track, DEFAULT_WINDOW)[::stride]
 
 
 def make_windows(estimates: AngleSeries, truth: AngleSeries, angle_id,
-                 stride: int = 1, window_length: int = 20) -> WindowSet:
-    """Cut one angle track into aligned fixed-length windows."""
+                 stride: int = 1) -> WindowSet:
+    """Cut one angle track into aligned windows, one per `stride` samples."""
     if len(estimates) != len(truth):
         raise ShapeError("estimate and truth series lengths disagree")
-    if len(estimates) < window_length:
+    if len(estimates) < DEFAULT_WINDOW:
         raise InvalidInputError(
-            f"need at least {window_length} samples, got {len(estimates)}"
+            f"need at least {DEFAULT_WINDOW} samples, got {len(estimates)}"
         )
     if stride < 1:
         raise InvalidInputError("stride must be >= 1")
     name = ANGLE_NAMES[angle_index(angle_id)]
     return WindowSet(
-        _sliding(estimates.angle(angle_id), window_length, stride),
-        _sliding(truth.angle(angle_id), window_length, stride),
+        sliding_windows(estimates.angle(angle_id), stride),
+        sliding_windows(truth.angle(angle_id), stride),
         name,
     )
 

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import InvalidInputError, ShapeError
 
 ANGLE_NAMES = ("roll", "pitch", "yaw")
+_IMU_COLUMNS = ("t",) + tuple(f"{s}_{a}" for s in ("gyro", "accel", "mag") for a in "xyz")
 
 
 def wrap_angle(x):
@@ -66,11 +67,21 @@ def _as_matrix(name, values, cols):
     return a
 
 
+def _check_finite(kind: str, columns, table: np.ndarray) -> None:
+    """Raise InvalidInputError naming the first sample, and its column, that
+    holds a NaN or an infinity."""
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        row, col = bad[0]
+        raise InvalidInputError(
+            f"{kind} holds {table[row, col]} in {columns[col]} at sample {row}")
+
+
 class ImuSeries:
     """A time-ordered IMU log held as (N,) / (N,3) arrays.
 
-    Timestamps must be strictly increasing and the series must contain at
-    least two samples.
+    Every value must be finite, timestamps must be strictly increasing and
+    the series must contain at least two samples.
     """
 
     def __init__(self, t, gyro, accel, mag, source: str = "synthetic"):
@@ -84,6 +95,8 @@ class ImuSeries:
             raise ShapeError("imu channel lengths disagree")
         if n < 2:
             raise InvalidInputError("an IMU series needs at least 2 samples")
+        _check_finite("IMU series", _IMU_COLUMNS,
+                      np.column_stack([self.t, self.gyro, self.accel, self.mag]))
         bad = np.flatnonzero(np.diff(self.t) <= 0)
         if bad.size:
             raise InvalidInputError(
@@ -103,21 +116,6 @@ class ImuSeries:
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    @property
-    def samples(self) -> list[ImuSample]:
-        return list(self)
-
-    @classmethod
-    def from_samples(cls, samples, source: str = "synthetic") -> "ImuSeries":
-        samples = list(samples)
-        return cls(
-            [s.t for s in samples],
-            [s.gyro for s in samples],
-            [s.accel for s in samples],
-            [s.mag for s in samples],
-            source,
-        )
-
 
 class AngleSeries:
     """Euler angles over time: t (N,) and angles (N, 3) = [roll, pitch, yaw]."""
@@ -127,8 +125,8 @@ class AngleSeries:
         self.angles = _as_matrix("angles", angles, 3)
         if len(self.t) != len(self.angles):
             raise ShapeError("t and angles lengths disagree")
-        if not np.all(np.isfinite(self.angles)):
-            raise InvalidInputError("angle series contains non-finite values")
+        _check_finite("angle series", ("t",) + ANGLE_NAMES,
+                      np.column_stack([self.t, self.angles]))
         self.meta = dict(meta) if meta else {}
 
     def __len__(self) -> int:

@@ -140,6 +140,8 @@ def corrupt_checkpoints(good_path, out_dir):
         "enc0_dropped": ({**meta, "layers": meta["layers"][1:]},
                          {k: v for k, v in arrays.items() if not k.startswith("enc0.")}),
         "window_length_text": ({**meta, "window_length": "20"}, arrays),
+        # a well-formed window length the denoiser was never built for
+        "window_length_40": ({**meta, "window_length": 40}, arrays),
         # array shapes match the layer, the channel chain does not
         "enc0_two_channels": ({**meta, "layers": changed("enc0", in_channels=2)},
                               {**arrays, "enc0.w": np.repeat(arrays["enc0.w"], 2, axis=1)}),

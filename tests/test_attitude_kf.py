@@ -209,6 +209,17 @@ class TestRunKf:
         assert len(out) == len(series)
         assert any("sample 10" in record.message for record in caplog.records)
 
+    def test_non_finite_sample_rejected_before_filtering(self, caplog):
+        # a NaN accel value used to reach the filter and be skipped as a
+        # zero-magnitude reading
+        imu, _ = synth_trajectory(SynthConfig(duration=1.0, seed=2))
+        accel = imu.accel.copy()
+        accel[7, 1] = np.nan
+        with caplog.at_level("WARNING"), pytest.raises(
+                InvalidInputError, match="holds nan in accel_y at sample 7$"):
+            run_kf(ImuSeries(imu.t, imu.gyro, accel, imu.mag))
+        assert not caplog.records
+
     def test_single_sample_series_rejected(self):
         # the length floor is enforced at construction time
         with pytest.raises(InvalidInputError):

@@ -22,6 +22,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def run_fresh(*argv):
+    """The CLI in a fresh interpreter, so a traceback would reach stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(danae.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "danae.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.fixture()
 def synth_dir(tmp_path):
     out = tmp_path / "scenario"
@@ -91,11 +98,7 @@ class TestKf:
         lines[4] = ",".join(parts)
         bad = tmp_path / "imu.csv"
         bad.write_text("\n".join(lines) + "\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(danae.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "danae.cli", "kf", "--imu", str(bad),
-             "--out", str(tmp_path / "kf.csv")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_fresh("kf", "--imu", bad, "--out", tmp_path / "kf.csv")
         assert proc.returncode == 3
         assert "imu.csv:5: column 2 holds 'nan'" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -157,6 +160,13 @@ class TestTrain:
                    "--angle", "roll", "--epochs", "0",
                    "--out", tmp_path / "m.ckpt") == 2
 
+    def test_non_finite_lr_exits_2(self, trained, tmp_path):
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--kf", trained["kf"], "--gt", trained["gt"],
+                   "--angle", "roll", "--epochs", "1", "--lr", "nan",
+                   "--out", out) == 2
+        assert not out.exists()
+
     def test_same_seed_identical_checkpoints(self, trained, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
         for out in (a, b):
@@ -195,13 +205,9 @@ class TestDenoise:
                    "--out", tmp_path / "d.csv") == 2
 
     def test_corrupt_checkpoints_exit_cleanly(self, trained, tmp_path):
-        # a fresh interpreter per file, so a traceback would reach stderr
-        env = {**os.environ, "PYTHONPATH": str(Path(danae.__file__).parents[1])}
         for case, (path, error) in corrupt_checkpoints(trained["model"], tmp_path).items():
-            proc = subprocess.run(
-                [sys.executable, "-m", "danae.cli", "denoise", "--model", str(path),
-                 "--kf", str(trained["kf"]), "--out", str(tmp_path / "d.csv")],
-                capture_output=True, text=True, env=env, timeout=120)
+            proc = run_fresh("denoise", "--model", path, "--kf", trained["kf"],
+                             "--out", tmp_path / "d.csv")
             assert proc.returncode == (2 if issubclass(error, ConfigError) else 3), case
             assert "Traceback" not in proc.stderr, case
 
@@ -249,9 +255,49 @@ class TestPipeline:
 
     @pytest.mark.parametrize("flags", [
         ("--stride", "0"), ("--epochs", "0"), ("--angles", ","),
-        ("--angles", "roll,roll"),
-    ], ids=["stride_0", "epochs_0", "no_angle", "angle_twice"])
+        ("--angles", "roll,roll"), ("--lr", "nan"), ("--lr", "-5"), ("--lr", "0"),
+    ], ids=["stride_0", "epochs_0", "no_angle", "angle_twice", "lr_nan", "lr_negative",
+            "lr_0"])
     def test_bad_setting_exits_2_before_synth(self, tmp_path, flags):
         out = tmp_path / "x"
         assert run("pipeline", "--out-dir", out, "--duration", "6", *flags) == 2
         assert not (out / "imu.csv").exists()
+
+
+def _lines(path):
+    return Path(path).read_text().splitlines()
+
+
+def _write(path, lines):
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _broken_run(command, scenario, tmp):
+    """(argv, exit code) for one subcommand on a broken input or setting."""
+    gt = scenario / "gt.csv"
+    if command == "synth":
+        bad = _write(tmp / "bad.cfg", ["duration=3", "rate 40"])
+        return ["synth", "--config", bad, "--out-dir", tmp / "out"], 2
+    if command == "kf":
+        lines = _lines(scenario / "imu.csv")
+        lines[6] = lines[6].rsplit(",", 1)[0]  # one cell short
+        return ["kf", "--imu", _write(tmp / "imu.csv", lines), "--out", tmp / "kf.csv"], 3
+    if command == "train":
+        lines = _lines(gt)
+        lines[9] = lines[8]  # t no longer increases
+        return ["train", "--kf", _write(tmp / "kf.csv", lines), "--gt", gt,
+                "--angle", "roll", "--epochs", "1", "--out", tmp / "m.ckpt"], 3
+    if command == "eval":
+        short = _write(tmp / "short.csv", _lines(gt)[:-10])
+        return ["eval", "--kf", gt, "--danae", short, "--gt", gt], 2
+    assert command == "pipeline"
+    return ["pipeline", "--out-dir", tmp / "run", "--duration", "6", "--lr", "nan"], 2
+
+
+@pytest.mark.parametrize("command", ["synth", "kf", "train", "eval", "pipeline"])
+def test_broken_input_exits_cleanly(synth_dir, tmp_path, command):
+    argv, code = _broken_run(command, synth_dir, tmp_path)
+    proc = run_fresh(*argv)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from danae.danae_model import (
+    DEFAULT_WINDOW,
     TrainConfig,
     _run,
     build_model,
@@ -128,13 +129,14 @@ class TestTrain:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=0).validate()
 
-    def test_zero_lr_keeps_params_and_loss_constant(self):
+    @pytest.mark.parametrize("lr", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_lr_rejected_before_any_step(self, lr):
         rng = np.random.default_rng(31)
         model = build_model(2, channels=4)
         before = _params_blob(model)
-        history = train(model, _toy_windows(rng), TrainConfig(epochs=3, lr=0.0, seed=0))
+        with pytest.raises(ConfigError, match="lr must be a finite number > 0"):
+            train(model, _toy_windows(rng), TrainConfig(epochs=3, lr=lr, seed=0))
         assert np.array_equal(_params_blob(model), before)
-        assert history[0] == history[1] == history[2]
 
     def test_loss_decreases_on_noisy_task(self):
         rng = np.random.default_rng(32)
@@ -163,13 +165,13 @@ class TestTrain:
         model = build_model(0, channels=4)
         bad = WindowSet(np.zeros((4, 10)), np.zeros((4, 10)), "roll")
         with pytest.raises(ShapeError):
-            train(model, bad, TrainConfig(epochs=1, window_length=10))
+            train(model, bad, TrainConfig(epochs=1))
 
 
 def _graph_denoise(model, series, angle_id, chunk_size=256):
     """denoise_series as it was with a Tensor input: every chunk builds
     and holds an autograd graph."""
-    length = model.window_length
+    length = DEFAULT_WINDOW
     n = len(series)
     starts = np.arange(n - length + 1)
     index = starts[:, None] + np.arange(length)

@@ -24,7 +24,7 @@ from danae.dataio import (
 )
 from danae.errors import ConfigError, DataError, InvalidInputError
 from danae.evalkit import deviations
-from danae.series import AngleSeries, EulerAngles
+from danae.series import AngleSeries, EulerAngles, ImuSeries
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -328,15 +328,36 @@ class TestSplit:
 
 
 class TestSeriesTypes:
-    def test_imu_series_sample_round_trip(self):
+    @pytest.mark.parametrize("column, row, value", [
+        ("t", 4, np.nan), ("gyro_z", 9, np.inf), ("accel_x", 3, np.nan),
+        ("mag_y", 0, -np.inf),
+    ])
+    def test_imu_series_rejects_non_finite_naming_sample(self, column, row, value):
         imu, _ = synth_trajectory(SynthConfig(duration=1.0, seed=6))
-        samples = imu.samples
-        assert len(samples) == len(imu)
-        assert samples[3].t == imu.t[3]
-        from danae.series import ImuSeries
-        rebuilt = ImuSeries.from_samples(samples, source=imu.source)
-        assert np.array_equal(rebuilt.gyro, imu.gyro)
-        assert np.array_equal(rebuilt.accel, imu.accel)
+        channels = {"t": imu.t.copy(), "gyro": imu.gyro.copy(),
+                    "accel": imu.accel.copy(), "mag": imu.mag.copy()}
+        name, _, axis = column.partition("_")
+        if axis:
+            channels[name][row, "xyz".index(axis)] = value
+        else:
+            channels[name][row] = value
+        # a later bad value in another channel: the first sample is named
+        channels["gyro"][row + 20, 0] = np.nan
+        with pytest.raises(InvalidInputError,
+                           match=rf"IMU series holds {value} in {column} at sample {row}$"):
+            ImuSeries(**channels)
+
+    def test_angle_series_rejects_non_finite_naming_sample(self):
+        angles = np.zeros((30, 3))
+        angles[12, 2] = np.inf
+        angles[20, 0] = np.nan
+        with pytest.raises(InvalidInputError,
+                           match=r"angle series holds inf in yaw at sample 12$"):
+            AngleSeries(np.arange(30) * 0.01, angles)
+        t = np.arange(30) * 0.01
+        t[5] = np.nan
+        with pytest.raises(InvalidInputError, match=r"holds nan in t at sample 5$"):
+            AngleSeries(t, np.zeros((30, 3)))
 
     def test_euler_angles_wrapping(self):
         e = EulerAngles(3 * math.pi, 0.2, -3 * math.pi / 2).wrapped()
