@@ -136,11 +136,6 @@ def gyro_delta(gyro, roll: float, pitch: float, dt: float) -> np.ndarray:
     return euler_rate_matrix(roll, pitch) @ w * dt
 
 
-def _predict(x, P, cfg: KfConfig, u) -> tuple[np.ndarray, np.ndarray]:
-    """The prior of one step: x' = Ax + Bu, P' = APA^T + Q."""
-    return cfg.A @ x + cfg.B @ u, cfg.A @ P @ cfg.A.T + cfg.Q
-
-
 def kf_step(state: KfState, cfg: KfConfig, u, y) -> KfState:
     """One predict/update cycle; returns the new posterior.
 
@@ -151,9 +146,12 @@ def kf_step(state: KfState, cfg: KfConfig, u, y) -> KfState:
     y = np.asarray(y, dtype=float).reshape(-1)
     if u.shape[0] != cfg.n or y.shape[0] != cfg.n:
         raise ShapeError(f"u and y must have dimension {cfg.n}")
-    x_pred, P_pred = _predict(state.x, state.P, cfg, u)
+    x_pred = cfg.A @ state.x + cfg.B @ u
+    P_pred = cfg.A @ state.P @ cfg.A.T + cfg.Q
     S = cfg.C @ P_pred @ cfg.C.T + cfg.R
-    cond = np.linalg.cond(S)
+    with np.errstate(all="ignore"):  # np.linalg.cond's value: inf for a singular S
+        s = np.linalg.svd(S, compute_uv=False)
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > MAX_INNOVATION_COND:
         raise NumericalError(
             f"innovation covariance is not invertible (condition number {cond:.3e})"
@@ -181,13 +179,16 @@ def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
     multiples of 2*pi onto the branch nearest the prediction, so residuals
     stay within pi; the output therefore evolves continuously and is not
     wrapped. Samples with a degenerate accel/mag reading get a predict-only
-    step and their index is logged.
+    step and their index is logged. A NaN or infinity anywhere in the series,
+    even one written after construction, raises InvalidInputError naming its
+    sample and column.
     """
     cfg = KfConfig() if cfg is None else cfg
     if cfg.n != 3:
         raise InvalidInputError("run_kf requires a 3-state configuration")
     if len(series) < 2:
         raise InvalidInputError("run_kf needs at least 2 samples")
+    series.check_finite()
 
     out = np.empty((len(series), 3))
     state = KfState(_measure(series.accel[0], series.mag[0]), cfg.P0.copy())
@@ -195,15 +196,16 @@ def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
     for i in range(1, len(series)):
         dt = series.t[i] - series.t[i - 1]
         u = gyro_delta(series.gyro[i], state.x[0], state.x[1], dt)
-        x_pred, P_pred = _predict(state.x, state.P, cfg, u)
+        x_pred = cfg.A @ state.x + cfg.B @ u
         try:
             y = _measure(series.accel[i], series.mag[i])
         except (InvalidInputError, NumericalError) as err:
             log.warning("sample %d: %s; skipping measurement update", i, err)
+            P_pred = cfg.A @ state.P @ cfg.A.T + cfg.Q
             state = KfState(x_pred, 0.5 * (P_pred + P_pred.T))
         else:
-            # the update goes through the public kf_step, which repeats the
-            # prediction, so kf_step runs exactly once per measurement update
+            # the update goes through the public kf_step (which repeats the state
+            # prediction), so kf_step runs exactly once per measurement update
             y = cfg.C @ x_pred + wrap_angle(y - cfg.C @ x_pred)
             state = kf_step(state, cfg, u, y)
         out[i] = state.x

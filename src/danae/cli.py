@@ -54,7 +54,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-_SYNTH_KEYS = [f.name for f in dataclasses.fields(SynthConfig)]
+# the seed is left out: it has its own precedence rule, _resolve_seed
+_SYNTH_KEYS = [f.name for f in dataclasses.fields(SynthConfig) if f.name != "seed"]
 
 
 def _resolve_seed(flag_value, fallback: int) -> int:
@@ -104,13 +105,8 @@ def _synth_config(args) -> SynthConfig:
     cfg = SynthConfig()
     if getattr(args, "config", None):
         cfg = synth_config_from_mapping(read_config_file(args.config), cfg)
-    overrides = {}
-    for key in _SYNTH_KEYS:
-        if key == "seed":
-            continue
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: getattr(args, key) for key in _SYNTH_KEYS
+                 if getattr(args, key, None) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
     return dataclasses.replace(cfg, seed=_resolve_seed(args.seed, cfg.seed))
 
@@ -119,8 +115,6 @@ def _add_synth_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value file with synth settings")
     parser.add_argument("--seed", type=int, default=None)
     for key in _SYNTH_KEYS:
-        if key == "seed":
-            continue
         parser.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float,
                             default=None)
 

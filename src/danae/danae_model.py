@@ -55,8 +55,8 @@ __all__ = [
 ]
 
 DEFAULT_CHANNELS = 128
-# windows per model call in denoise_series
-DENOISE_CHUNK = 256
+# windows per model call in denoise_series (see its docstring)
+DENOISE_CHUNK = 64
 ENCODER_DILATIONS = (1, 2, 4, 8)
 DECODER_UP_DILATIONS = (4, 2, 1)
 
@@ -235,7 +235,9 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
     Each chunk of DENOISE_CHUNK windows runs through the model as a plain
     array, so no autograd graph is built: a layer's input is freed as soon as
     the next layer has consumed it, and only the four encoder skips stay
-    alive. The values are bit-identical to a graph-building forward.
+    alive. The values are bit-identical to a graph-building forward. At 128
+    channels a 64-window activation takes 1.3 MB (5.2 MB at 256 windows): a
+    quarter of the memory peak, at no clear cost in time.
     """
     n = len(series)
     if n < DEFAULT_WINDOW:

@@ -161,11 +161,15 @@ def _check_monotonic(path, t):
         )
 
 
-def write_angle_csv(path, series: AngleSeries) -> None:
+def _write_table(path, header: str, table: np.ndarray) -> None:
+    """A header line, then each table row as 17-significant-digit cells."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,roll,pitch,yaw\n")
-        for i in range(len(series)):
-            fh.write(_format_row([series.t[i], *series.angles[i]]) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(_format_row(row) + "\n" for row in table.tolist())
+
+
+def write_angle_csv(path, series: AngleSeries) -> None:
+    _write_table(path, "t,roll,pitch,yaw", np.column_stack([series.t, series.angles]))
 
 
 def read_angle_csv(path) -> AngleSeries:
@@ -175,11 +179,8 @@ def read_angle_csv(path) -> AngleSeries:
 
 
 def write_imu_csv(path, series: ImuSeries) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,gyro_x,gyro_y,gyro_z,accel_x,accel_y,accel_z,mag_x,mag_y,mag_z\n")
-        for i in range(len(series)):
-            fh.write(_format_row([series.t[i], *series.gyro[i],
-                                  *series.accel[i], *series.mag[i]]) + "\n")
+    _write_table(path, "t,gyro_x,gyro_y,gyro_z,accel_x,accel_y,accel_z,mag_x,mag_y,mag_z",
+                 np.column_stack([series.t, series.gyro, series.accel, series.mag]))
 
 
 def read_imu_csv(path) -> ImuSeries:

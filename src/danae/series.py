@@ -95,13 +95,17 @@ class ImuSeries:
             raise ShapeError("imu channel lengths disagree")
         if n < 2:
             raise InvalidInputError("an IMU series needs at least 2 samples")
-        _check_finite("IMU series", _IMU_COLUMNS,
-                      np.column_stack([self.t, self.gyro, self.accel, self.mag]))
+        self.check_finite()
         bad = np.flatnonzero(np.diff(self.t) <= 0)
         if bad.size:
             raise InvalidInputError(
                 f"timestamps must be strictly increasing (first violation at sample {bad[0] + 1})"
             )
+
+    def check_finite(self) -> None:
+        """Raise InvalidInputError naming the first non-finite value's sample and column."""
+        _check_finite("IMU series", _IMU_COLUMNS,
+                      np.column_stack([self.t, self.gyro, self.accel, self.mag]))
 
     def __len__(self) -> int:
         return len(self.t)

@@ -12,8 +12,9 @@ nothing alive beyond the activations it still needs.
 
 Convolutions use cross-correlation semantics (no kernel flip) at stride 1.
 The correlation is shift-and-add: one matrix product per kernel tap against
-a shifted view of the padded input, summed. The transposed convolution is a
-wrapper that runs the same correlation on swapped, flipped weights with
+a shifted view of the padded input, summed. Each call copies the weights once,
+into a contiguous stack of tap matrices. The transposed convolution runs the
+same correlation on the flipped stack (taps swapped and reversed) with
 complementary padding, so it is the exact adjoint of the forward one:
 <conv(x), y> == <x, conv_t(y)> for shared weights.
 """
@@ -76,10 +77,13 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t's gradient slot. An owned g, computed for t alone, fills
+    an empty slot as is; a g handed to several parents is copied first."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g if owned else g.copy()
+    else:
+        t.grad += g
 
 
 @dataclass(frozen=True)
@@ -154,36 +158,22 @@ def _taps(x: np.ndarray, padding: int, dilation: int, k: int) -> tuple[list, int
             for j in range(k)], t
 
 
-def _corr(x: np.ndarray, w: np.ndarray, padding: int, dilation: int) -> np.ndarray:
-    """Cross-correlate (I, L, B) with (O, I, k) -> (O, T, B)."""
-    taps, t = _taps(x, padding, dilation, w.shape[2])
-    # one contiguous (O, I) matrix per tap keeps every product on BLAS
-    w_taps = np.ascontiguousarray(w.transpose(2, 0, 1))
+def _tap_stack(w: np.ndarray, flipped: bool) -> np.ndarray:
+    """(A, B, k) weights as one contiguous (k, A, B) stack of tap matrices, or
+    flipped: (k, B, A) with each tap transposed and the taps reversed."""
+    if flipped:
+        return np.ascontiguousarray(w.transpose(2, 1, 0)[::-1])
+    return np.ascontiguousarray(w.transpose(2, 0, 1))
+
+
+def _corr(x: np.ndarray, w_taps: np.ndarray, padding: int, dilation: int) -> np.ndarray:
+    """Cross-correlate (I, L, B) with a (k, O, I) tap stack -> (O, T, B)."""
+    taps, t = _taps(x, padding, dilation, len(w_taps))
+    # contiguous (O, I) tap matrices keep every product on BLAS
     y = w_taps[0] @ taps[0]
     for w_j, x_j in zip(w_taps[1:], taps[1:]):
         y += w_j @ x_j
-    return y.reshape(w.shape[0], t, x.shape[2])
-
-
-def _corr_dw(x: np.ndarray, g: np.ndarray, padding: int, dilation: int, k: int) -> np.ndarray:
-    """Weight gradient of _corr: contract (O, T, B) against each tap's input."""
-    taps, _ = _taps(x, padding, dilation, k)
-    g2 = g.reshape(g.shape[0], -1)
-    return np.stack([g2 @ x_j.T for x_j in taps], axis=2)
-
-
-def _flip_swap(w: np.ndarray) -> np.ndarray:
-    """(O, I, k) -> (I, O, k) with the taps reversed; its own inverse."""
-    return np.ascontiguousarray(w.transpose(1, 0, 2)[:, :, ::-1])
-
-
-def _flipped(weights):
-    """_flip_swap of array or Tensor weights; a Tensor gets a graph node so
-    the gradient flows back to the stored layout."""
-    wf = _flip_swap(_value(weights))
-    if not isinstance(weights, Tensor):
-        return wf
-    return Tensor(wf, (weights,), lambda g: _accumulate(weights, _flip_swap(g)))
+    return y.reshape(w_taps.shape[1], t, x.shape[2])
 
 
 def _with_batch(data: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -230,14 +220,10 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     xd, squeeze = _with_batch(_value(x))
     if xd.shape[0] != spec.in_channels:
         raise ShapeError(f"input has {xd.shape[0]} channels, spec wants {spec.in_channels}")
-    padding = spec.padding
-    if spec.transposed:
-        # the scatter form is a correlation with swapped, flipped taps and
-        # complementary padding
-        weights = _flipped(weights)
-        wd = _value(weights)
-        padding = spec.span - spec.padding
-    y = _corr(xd, wd, padding, spec.dilation)
+    # the scatter form is a correlation with the flipped tap stack and
+    # complementary padding
+    padding = spec.span - spec.padding if spec.transposed else spec.padding
+    y = _corr(xd, _tap_stack(wd, spec.transposed), padding, spec.dilation)
     if bias is not None:
         bd = _value(bias)
         if bd.shape != (spec.out_channels,):
@@ -251,13 +237,21 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     def backward_fn(g):
         g3 = g[:, :, None] if squeeze else g
         if isinstance(x, Tensor):
-            dx = _corr(g3, _flip_swap(wd), spec.span - padding, spec.dilation)
-            _accumulate(x, dx[..., 0] if squeeze else dx)
+            # the adjoint correlation runs on the other form of the stack
+            dx = _corr(g3, _tap_stack(wd, not spec.transposed), spec.span - padding,
+                       spec.dilation)
+            _accumulate(x, dx[..., 0] if squeeze else dx, owned=True)
         if isinstance(weights, Tensor):
-            _accumulate(weights, _corr_dw(xd, g3, padding, spec.dilation,
-                                          spec.kernel_size))
+            # tap j's gradient is g against tap j's input; the transposed conv
+            # stores taps swapped and reversed, and `out` keeps them C-ordered
+            taps, _ = _taps(xd, padding, spec.dilation, spec.kernel_size)
+            g2 = g3.reshape(g3.shape[0], -1)
+            dw = [g2 @ x_j.T for x_j in taps]
+            if spec.transposed:
+                dw = [d.T for d in reversed(dw)]
+            _accumulate(weights, np.stack(dw, axis=2, out=np.empty(wd.shape)), owned=True)
         if isinstance(bias, Tensor):
-            _accumulate(bias, g3.sum(axis=(1, 2)))
+            _accumulate(bias, g3.sum(axis=(1, 2)), owned=True)
 
     return Tensor(y, parents, backward_fn)
 
@@ -271,7 +265,7 @@ def activation(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     slope = np.where(xd > 0, 1.0, LEAKY_SLOPE)
 
     def backward_fn(g):
-        _accumulate(x, g * slope)
+        _accumulate(x, g * slope, owned=True)
 
     return Tensor(y, (x,), backward_fn)
 
@@ -331,7 +325,7 @@ def backward(root: Tensor) -> None:
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
-    _accumulate(root, np.ones_like(root.data))
+    _accumulate(root, np.ones_like(root.data), owned=True)
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
@@ -368,18 +362,21 @@ def adam_step(params, grads, state: AdamState):
     state.step_count += 1
     c1 = 1.0 - state.beta1 ** state.step_count
     c2 = 1.0 - state.beta2 ** state.step_count
+    # every intermediate goes to one scratch buffer that is freed on return
+    scratch = np.empty(max((p.data.size for p in params), default=0))
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ShapeError(f"grad shape {g.shape} vs param shape {p.data.shape}")
+        t = scratch[:g.size].reshape(g.shape)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += np.multiply(1.0 - state.beta1, g, out=t)
         v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        step = np.sqrt(v / c2)
-        step += state.eps
-        np.divide(m, step, out=step)
-        p.data -= (state.lr / c1) * step
+        v += np.multiply(1.0 - state.beta2, np.square(g, out=t), out=t)
+        np.sqrt(np.divide(v, c2, out=t), out=t)
+        t += state.eps
+        np.divide(m, t, out=t)
+        p.data -= np.multiply(state.lr / c1, t, out=t)
     return params, state
 
 

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +167,20 @@ class TestKfStep:
         with pytest.raises(NumericalError, match="condition"):
             kf_step(KfState(np.zeros(1), np.zeros((1, 1))), cfg, [0.0], [0.0])
 
+    @pytest.mark.parametrize("r_diag, shown", [
+        ((1.0, 0.0), "inf"),                          # singular S
+        ((0.0, 0.0), "inf"),                          # S = 0
+        ((1.0, 1e-15), f"{np.linalg.cond(np.diag([1.0, 1e-15])):.3e}"),
+    ])
+    def test_ill_conditioned_innovation_names_cond(self, r_diag, shown):
+        # S = R here; the number shown is np.linalg.cond's, with no warning
+        cfg = KfConfig(n=2, Q=np.zeros((2, 2)), R=np.diag(r_diag), P0=np.zeros((2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape(f"(condition number {shown})")):
+                kf_step(KfState(np.zeros(2), np.zeros((2, 2))), cfg, np.zeros(2),
+                        np.zeros(2))
+
 
 def _static_series(n=50, mag=(1.0, 0.0, 0.0)):
     t = np.arange(n) * 0.01
@@ -218,6 +234,15 @@ class TestRunKf:
         with caplog.at_level("WARNING"), pytest.raises(
                 InvalidInputError, match="holds nan in accel_y at sample 7$"):
             run_kf(ImuSeries(imu.t, imu.gyro, accel, imu.mag))
+        assert not caplog.records
+
+    def test_value_written_after_construction_rejected(self, caplog):
+        # the series arrays stay writable, so run_kf repeats the check
+        imu, _ = synth_trajectory(SynthConfig(duration=1.0, seed=2))
+        imu.accel[7, 1] = np.nan
+        with caplog.at_level("WARNING"), pytest.raises(
+                InvalidInputError, match="holds nan in accel_y at sample 7$"):
+            run_kf(imu)
         assert not caplog.records
 
     def test_single_sample_series_rejected(self):

@@ -190,7 +190,9 @@ class TestDenoiseSeries:
     def test_bit_equal_to_graph_building_forward(self):
         rng = np.random.default_rng(12)
         model = build_model(5, channels=8)
-        n = 600  # three chunks, the last one short
+        # 581 windows: ten DENOISE_CHUNK chunks here and three 256-window
+        # chunks in the reference, the last of each short
+        n = 600
         series = AngleSeries(np.arange(n) * 0.01, rng.normal(size=(n, 3)) * 0.3)
         out = denoise_series(model, series, "pitch")
         assert out.pitch.tobytes() == _graph_denoise(model, series, "pitch").tobytes()
@@ -212,6 +214,21 @@ class TestDenoiseSeries:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * graph_peak, (peak, graph_peak)
+
+    def test_peak_memory_is_one_small_chunk(self):
+        # one 64-window chunk of the 128-channel model holds 1.3 MB per
+        # activation; a 256-window chunk put the peak near 48 MB
+        model = build_model(3)
+        n = 1300
+        series = AngleSeries(np.arange(n) * 0.01,
+                             np.random.default_rng(14).normal(size=(n, 3)))
+        tracemalloc.start()
+        try:
+            denoise_series(model, series, "roll")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, peak
 
     def test_constant_series_interior_output_constant(self):
         # every window is identical, so every sample covered by all 20

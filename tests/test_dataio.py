@@ -164,6 +164,27 @@ class TestCsvRoundTrip:
         assert np.array_equal(loaded.mag, imu.mag)
 
 
+    def test_special_values_written_exactly(self, tmp_path):
+        cells = "-0,4.9406564584124654e-324,1.0000000000000001e+300"
+        series = AngleSeries([-0.0, 0.1], [[-0.0, 5e-324, 1e300], [1e300, -0.0, 5e-324]])
+        write_angle_csv(tmp_path / "angles.csv", series)
+        assert (tmp_path / "angles.csv").read_bytes() == (
+            "t,roll,pitch,yaw\n"
+            f"-0,{cells}\n"
+            "0.10000000000000001,1.0000000000000001e+300,-0,4.9406564584124654e-324\n"
+        ).encode()
+        imu = ImuSeries([-0.0, 1.0], [[-0.0, 5e-324, 1e300]] * 2,
+                        [[1e300, -0.0, 5e-324]] * 2, [[5e-324, 1e300, -0.0]] * 2)
+        write_imu_csv(tmp_path / "imu.csv", imu)
+        assert (tmp_path / "imu.csv").read_bytes() == (
+            "t,gyro_x,gyro_y,gyro_z,accel_x,accel_y,accel_z,mag_x,mag_y,mag_z\n"
+            f"-0,{cells},1.0000000000000001e+300,-0,4.9406564584124654e-324,"
+            "4.9406564584124654e-324,1.0000000000000001e+300,-0\n"
+            f"1,{cells},1.0000000000000001e+300,-0,4.9406564584124654e-324,"
+            "4.9406564584124654e-324,1.0000000000000001e+300,-0\n"
+        ).encode()
+
+
 class TestNonFiniteCells:
     # the bad row goes after a blank line, so the named line counts the
     # header and blank lines as the file does

@@ -239,6 +239,31 @@ class TestBackward:
             assert np.allclose(w.grad, expected_scale * _single_pass_grad())
 
 
+    def test_add_gives_each_leaf_its_own_gradient(self):
+        # add hands one gradient array to both parents, so each slot must be
+        # a copy of it
+        rng = np.random.default_rng(10)
+        a, b = Tensor(rng.normal(size=(2, 5))), Tensor(rng.normal(size=(2, 5)))
+        backward(l2_loss(add(a, b), np.zeros((2, 5))))
+        assert a.grad is not b.grad
+        assert np.array_equal(a.grad, b.grad)
+        before = b.grad.copy()
+        a.grad += 1.0
+        assert np.array_equal(b.grad, before)
+
+    def test_leaf_read_by_two_activations_gets_both_gradients(self):
+        # the first activation's gradient becomes the slot; the second must
+        # be added to it, not replace it
+        rng = np.random.default_rng(11)
+        x = Tensor(rng.normal(size=(3, 6)))
+        target = rng.normal(size=(3, 6))
+        backward(l2_loss(add(activation(x), activation(x)), target))
+        y = activation(x.data)
+        slope = np.where(x.data > 0, 1.0, 0.01)
+        per_path = (2.0 / x.data.size) * (y + y - target) * slope
+        assert np.array_equal(x.grad, per_path + per_path)
+
+
 def _single_pass_grad():
     spec = ConvSpec(1, 1, 3, padding=1)
     w = Tensor(np.ones((1, 1, 3)))
@@ -460,6 +485,39 @@ class TestAdam:
         for _ in range(3):
             adam_step([p], [rng.normal(size=5)], state)
         assert np.array_equal(p.data, before)
+
+
+    def test_bit_equal_to_reference_expression(self):
+        # the update written with a fresh array per intermediate; the scratch
+        # buffer form must give the same bits for parameters and moments
+        def reference(p, g, m, v, step, lr=0.002, b1=0.9, b2=0.999, eps=1e-8):
+            c1 = 1.0 - b1 ** step
+            c2 = 1.0 - b2 ** step
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            s = np.sqrt(v / c2)
+            s += eps
+            np.divide(m, s, out=s)
+            p -= (lr / c1) * s
+
+        rng = np.random.default_rng(21)
+        shapes = [(128, 128, 3), (1, 128, 3), (128,)]
+        params = [Tensor(rng.normal(size=s)) for s in shapes]
+        state = AdamState.for_params(params)
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        for step in range(1, 6):
+            grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+            adam_step(params, grads, state)
+            for args in zip(ref_p, grads, ref_m, ref_v):
+                reference(*args, step)
+        for p, m, v, rp, rm, rv in zip(params, state.m, state.v, ref_p, ref_m, ref_v):
+            assert p.data.tobytes() == rp.tobytes()
+            assert m.tobytes() == rm.tobytes()
+            assert v.tobytes() == rv.tobytes()
 
 
 class TestDeterminism:
