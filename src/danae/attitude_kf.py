@@ -216,6 +216,7 @@ def integrate_gyro(series: ImuSeries, init: EulerAngles | None = None) -> AngleS
     """Dead-reckoning baseline: accumulate gyro_delta with no measurements."""
     if len(series) < 2:
         raise InvalidInputError("integrate_gyro needs at least 2 samples")
+    series.check_finite()
     if init is None:
         x = _measure(series.accel[0], series.mag[0])
     else:
@@ -231,6 +232,7 @@ def integrate_gyro(series: ImuSeries, init: EulerAngles | None = None) -> AngleS
 
 def measurement_angles(series: ImuSeries) -> AngleSeries:
     """Raw accel/mag baseline: per-sample gravity-tilt and compass angles."""
+    series.check_finite()
     out = np.empty((len(series), 3))
     for i in range(len(series)):
         out[i] = _measure(series.accel[i], series.mag[i])

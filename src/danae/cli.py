@@ -1,10 +1,12 @@
 """Command line front end: one subcommand per pipeline phase.
 
-Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numerical
-failure. Every invocation writes a run manifest (resolved configuration,
-input/output paths, seed, version, wall-clock duration) alongside its
-outputs. DANAE_SEED in the environment overrides default seeds; an explicit
---seed flag wins over both.
+The synth, train and eval stages each have one implementation, which the
+per-phase commands and `pipeline` share. Exit codes: 0 success, 2
+usage/config error, 3 data error, 4 numerical failure. Every command that
+writes files also writes a run manifest (resolved configuration,
+input/output paths, seed, version, wall-clock duration) beside them; `eval`
+without output flags writes none. DANAE_SEED in the environment overrides
+default seeds; an explicit --seed flag wins over both.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import os
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .attitude_kf import run_kf
@@ -31,6 +35,7 @@ from .danae_model import (
 from .dataio import (
     FractionSplit,
     SynthConfig,
+    _write_table,
     load_oxiod,
     load_ucs,
     make_windows,
@@ -70,8 +75,8 @@ def _resolve_seed(flag_value, fallback: int) -> int:
     return fallback
 
 
-def _write_manifest(path: Path, command: str, config: dict, inputs: dict,
-                    outputs: list, seed, started: float) -> None:
+def _write_manifest(command: str, started: float, path: Path, config: dict,
+                    inputs: dict, outputs: list, seed) -> None:
     manifest = {
         "command": command,
         "config": config,
@@ -86,13 +91,6 @@ def _write_manifest(path: Path, command: str, config: dict, inputs: dict,
         fh.write("\n")
 
 
-def _write_loss_csv(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_loss\n")
-        for epoch, value in enumerate(history, start=1):
-            fh.write(f"{epoch},{value:.17g}\n")
-
-
 def _write_plot_data(path, kf, danae, gt) -> None:
     """All three angles of each estimator as kf_roll, ..., gt_yaw columns."""
     labeled = [(f"{label}_{name}", series.angle(name))
@@ -101,10 +99,62 @@ def _write_plot_data(path, kf, danae, gt) -> None:
     emit_plot_data(kf.t, labeled, path)
 
 
+# the stages, each run by its per-phase command and by pipeline
+
+def _synth(cfg: SynthConfig, out_dir: Path):
+    """Synthesise the scenario into out_dir: (imu, gt, [imu.csv, gt.csv])."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    imu, gt = synth_trajectory(cfg)
+    paths = [out_dir / "imu.csv", out_dir / "gt.csv"]
+    write_imu_csv(paths[0], imu)
+    write_angle_csv(paths[1], gt)
+    log.info("wrote %s and %s (%d samples)", *paths, len(imu))
+    return imu, gt, paths
+
+
+def _train_angle(kf, gt, angle: str, stride: int, cfg: TrainConfig,
+                 ckpt: Path, loss_path: Path):
+    """Train, save and loss-log one angle's denoiser: (model, window count)."""
+    windows = make_windows(kf, gt, angle, stride=stride)
+    model = build_model(cfg.seed)
+    history = train(model, windows, cfg)
+    save_model(ckpt, model, angle_id=angle)
+    _write_table(loss_path, "epoch,mean_loss",
+                 np.column_stack([np.arange(1, len(history) + 1), history]))
+    log.info("trained %s on %d windows: loss %.3g -> %.3g",
+             angle, len(windows), history[0], history[-1])
+    return model, len(windows)
+
+
+def _evaluate(kf, danae, gt, wrap: bool, report, report_csv, plot_data) -> list:
+    """Print the report, write each output given a path; the paths written."""
+    result = build_report(kf, danae, gt, wrap=wrap)
+    text = result.to_text()
+    sys.stdout.write(text)
+    outputs = []
+    if report:
+        Path(report).write_text(text, encoding="utf-8")
+        outputs.append(Path(report))
+    if report_csv:
+        Path(report_csv).write_text(result.to_csv(), encoding="utf-8")
+        outputs.append(Path(report_csv))
+    if plot_data:
+        _write_plot_data(plot_data, kf, danae, gt)
+        outputs.append(Path(plot_data))
+    return outputs
+
+
+# each command returns (manifest path, config, inputs, outputs, seed) for
+# main to record, or None when it writes no file
+
 def _synth_config(args) -> SynthConfig:
     cfg = SynthConfig()
     if getattr(args, "config", None):
-        cfg = synth_config_from_mapping(read_config_file(args.config), cfg)
+        mapping = read_config_file(args.config)
+        try:
+            cfg = synth_config_from_mapping(mapping, cfg)
+        except ConfigError as err:
+            raise ConfigError(f"{args.config}: {err}") from None
     overrides = {key: getattr(args, key) for key in _SYNTH_KEYS
                  if getattr(args, key, None) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
@@ -119,20 +169,11 @@ def _add_synth_options(parser: argparse.ArgumentParser) -> None:
                             default=None)
 
 
-def cmd_synth(args) -> int:
-    started = time.perf_counter()
+def cmd_synth(args):
     cfg = _synth_config(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    imu, gt = synth_trajectory(cfg)
-    imu_path = out_dir / "imu.csv"
-    gt_path = out_dir / "gt.csv"
-    write_imu_csv(imu_path, imu)
-    write_angle_csv(gt_path, gt)
-    _write_manifest(out_dir / "manifest.json", "synth", dataclasses.asdict(cfg),
-                    {}, [imu_path, gt_path], cfg.seed, started)
-    log.info("wrote %s and %s (%d samples)", imu_path, gt_path, len(imu))
-    return EXIT_OK
+    _, _, outputs = _synth(cfg, out_dir)
+    return out_dir / "manifest.json", dataclasses.asdict(cfg), {}, outputs, cfg.seed
 
 
 def _load_imu(args):
@@ -147,8 +188,7 @@ def _load_imu(args):
     raise ConfigError(f"unknown dataset kind {args.dataset!r}")
 
 
-def cmd_kf(args) -> int:
-    started = time.perf_counter()
+def cmd_kf(args):
     imu, gt = _load_imu(args)
     estimates = run_kf(imu)
     out = Path(args.out)
@@ -160,12 +200,10 @@ def cmd_kf(args) -> int:
                               "(synthetic ground truth comes from the synth step)")
         write_angle_csv(args.gt_out, gt)
         outputs.append(Path(args.gt_out))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "kf",
-                    {"dataset": args.dataset},
-                    {"imu": args.imu, **({"vicon": args.vicon} if args.vicon else {})},
-                    outputs, None, started)
     log.info("wrote %s (%d samples)", out, len(estimates))
-    return EXIT_OK
+    return (Path(f"{out}.manifest.json"), {"dataset": args.dataset},
+            {"imu": args.imu, **({"vicon": args.vicon} if args.vicon else {})},
+            outputs, None)
 
 
 def _train_config(args, seed: int) -> TrainConfig:
@@ -178,30 +216,27 @@ def _train_config(args, seed: int) -> TrainConfig:
     return cfg
 
 
-def cmd_train(args) -> int:
-    started = time.perf_counter()
-    seed = _resolve_seed(args.seed, 0)
-    cfg = _train_config(args, seed)
-    estimates = read_angle_csv(args.kf)
-    truth = read_angle_csv(args.gt)
-    windows = make_windows(estimates, truth, args.angle, stride=args.stride)
-    model = build_model(seed)
-    history = train(model, windows, cfg)
+def _add_train_options(parser: argparse.ArgumentParser, stride: int) -> None:
+    parser.add_argument("--epochs", type=int, default=50)
+    parser.add_argument("--batch-size", type=int, default=16)
+    parser.add_argument("--lr", type=float, default=0.002)
+    parser.add_argument("--stride", type=int, default=stride,
+                        help="training window stride (1 uses every window)")
+
+
+def cmd_train(args):
+    cfg = _train_config(args, _resolve_seed(args.seed, 0))
     out = Path(args.out)
-    save_model(out, model, angle_id=args.angle)
-    loss_path = Path(args.loss_log) if args.loss_log else out.with_suffix(out.suffix + ".loss.csv")
-    _write_loss_csv(loss_path, history)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "train",
-                    {**dataclasses.asdict(cfg), "angle": args.angle,
-                     "stride": args.stride, "windows": len(windows)},
-                    {"kf": args.kf, "gt": args.gt}, [out, loss_path], seed, started)
-    log.info("trained %s on %d windows: loss %.3g -> %.3g",
-             args.angle, len(windows), history[0], history[-1])
-    return EXIT_OK
+    loss_path = Path(args.loss_log or f"{out}.loss.csv")
+    _, windows = _train_angle(read_angle_csv(args.kf), read_angle_csv(args.gt), args.angle,
+                              args.stride, cfg, out, loss_path)
+    return (Path(f"{out}.manifest.json"),
+            {**dataclasses.asdict(cfg), "angle": args.angle, "stride": args.stride,
+             "windows": windows},
+            {"kf": args.kf, "gt": args.gt}, [out, loss_path], cfg.seed)
 
 
-def cmd_denoise(args) -> int:
-    started = time.perf_counter()
+def cmd_denoise(args):
     model, meta = load_model(args.model)
     angle = args.angle or meta.get("angle")
     if angle is None:
@@ -210,42 +245,23 @@ def cmd_denoise(args) -> int:
     denoised = denoise_series(model, estimates, angle)
     out = Path(args.out)
     write_angle_csv(out, denoised)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), "denoise",
-                    {"angle": angle}, {"model": args.model, "kf": args.kf},
-                    [out], None, started)
     log.info("wrote %s", out)
-    return EXIT_OK
+    return (Path(f"{out}.manifest.json"), {"angle": angle},
+            {"model": args.model, "kf": args.kf}, [out], None)
 
 
-def cmd_eval(args) -> int:
-    started = time.perf_counter()
-    kf = read_angle_csv(args.kf)
-    danae = read_angle_csv(args.danae)
-    gt = read_angle_csv(args.gt)
-    report = build_report(kf, danae, gt, wrap=args.wrap)
-    text = report.to_text()
-    sys.stdout.write(text)
-    outputs = []
-    if args.report:
-        Path(args.report).write_text(text, encoding="utf-8")
-        outputs.append(Path(args.report))
-    if args.report_csv:
-        Path(args.report_csv).write_text(report.to_csv(), encoding="utf-8")
-        outputs.append(Path(args.report_csv))
-    if args.plot_data:
-        _write_plot_data(args.plot_data, kf, danae, gt)
-        outputs.append(Path(args.plot_data))
-    if outputs:
-        manifest_path = outputs[0].with_suffix(outputs[0].suffix + ".manifest.json")
-        _write_manifest(manifest_path, "eval", {"wrap": args.wrap},
-                        {"kf": args.kf, "danae": args.danae, "gt": args.gt},
-                        outputs, None, started)
-    return EXIT_OK
+def cmd_eval(args):
+    outputs = _evaluate(read_angle_csv(args.kf), read_angle_csv(args.danae),
+                        read_angle_csv(args.gt), args.wrap, args.report,
+                        args.report_csv, args.plot_data)
+    if not outputs:
+        return None
+    return (Path(f"{outputs[0]}.manifest.json"), {"wrap": args.wrap},
+            {"kf": args.kf, "danae": args.danae, "gt": args.gt}, outputs, None)
 
 
-def cmd_pipeline(args) -> int:
+def cmd_pipeline(args):
     """synth -> kf -> split -> per-angle train -> denoise -> eval, in one run."""
-    started = time.perf_counter()
     cfg = _synth_config(args)
     angles = [a.strip() for a in args.angles.split(",") if a.strip()]
     if not angles:
@@ -259,51 +275,35 @@ def cmd_pipeline(args) -> int:
         raise ConfigError("--train-fraction must be in (0, 1)")
     train_cfg = _train_config(args, cfg.seed)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    imu, gt = synth_trajectory(cfg)
-    write_imu_csv(out_dir / "imu.csv", imu)
-    write_angle_csv(out_dir / "gt.csv", gt)
+    imu, gt, outputs = _synth(cfg, out_dir)
     estimates = run_kf(imu)
     write_angle_csv(out_dir / "kf.csv", estimates)
-
+    outputs.append(out_dir / "kf.csv")
     policy = FractionSplit(args.train_fraction)
     kf_train, kf_test = split(estimates, policy)
     gt_train, gt_test = split(gt, policy)
 
+    # each angle's model denoises the previous one's output
     denoised = kf_test
-    outputs = [out_dir / n for n in ("imu.csv", "gt.csv", "kf.csv")]
     for name in angles:
-        windows = make_windows(kf_train, gt_train, name, stride=args.stride)
-        model = build_model(cfg.seed)
-        history = train(model, windows, train_cfg)
-        ckpt = out_dir / f"model_{name}.ckpt"
-        save_model(ckpt, model, angle_id=name)
-        loss_path = out_dir / f"loss_{name}.csv"
-        _write_loss_csv(loss_path, history)
-        log.info("angle %s: %d windows, loss %.3g -> %.3g",
-                 name, len(windows), history[0], history[-1])
+        ckpt, loss_path = out_dir / f"model_{name}.ckpt", out_dir / f"loss_{name}.csv"
+        model, _ = _train_angle(kf_train, gt_train, name, args.stride, train_cfg,
+                                ckpt, loss_path)
         denoised = denoise_series(model, denoised, name)
         outputs.extend([ckpt, loss_path])
 
-    write_angle_csv(out_dir / "kf_test.csv", kf_test)
-    write_angle_csv(out_dir / "gt_test.csv", gt_test)
-    write_angle_csv(out_dir / "danae_test.csv", denoised)
-    report = build_report(kf_test, denoised, gt_test)
-    (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    (out_dir / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    _write_plot_data(out_dir / "plot_data.csv", kf_test, denoised, gt_test)
-    outputs.extend(out_dir / n for n in
-                   ("kf_test.csv", "gt_test.csv", "danae_test.csv",
-                    "report.txt", "report.csv", "plot_data.csv"))
-    _write_manifest(out_dir / "manifest.json", "pipeline",
-                    {**dataclasses.asdict(cfg), "epochs": args.epochs,
-                     "stride": args.stride, "angles": angles,
-                     "train_fraction": args.train_fraction,
-                     "batch_size": args.batch_size, "lr": args.lr},
-                    {}, outputs, cfg.seed, started)
-    sys.stdout.write(report.to_text())
-    return EXIT_OK
+    for stem, series in (("kf_test", kf_test), ("gt_test", gt_test),
+                         ("danae_test", denoised)):
+        write_angle_csv(out_dir / f"{stem}.csv", series)
+        outputs.append(out_dir / f"{stem}.csv")
+    outputs += _evaluate(kf_test, denoised, gt_test, wrap=False,
+                         report=out_dir / "report.txt", report_csv=out_dir / "report.csv",
+                         plot_data=out_dir / "plot_data.csv")
+    return (out_dir / "manifest.json",
+            {**dataclasses.asdict(cfg), "epochs": args.epochs, "stride": args.stride,
+             "angles": angles, "train_fraction": args.train_fraction,
+             "batch_size": args.batch_size, "lr": args.lr},
+            {}, outputs, cfg.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,11 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kf", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--angle", choices=ANGLE_NAMES, required=True)
-    p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.002)
-    p.add_argument("--stride", type=int, default=1)
+    _add_train_options(p, stride=1)
     p.add_argument("--loss-log")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -363,11 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_synth_options(p)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--angles", default="roll,pitch,yaw")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--lr", type=float, default=0.002)
-    p.add_argument("--stride", type=int, default=10,
-                   help="training window stride (1 uses every window)")
+    _add_train_options(p, stride=10)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.set_defaults(func=cmd_pipeline)
     return parser
@@ -380,8 +373,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return int(err.code) if err.code else EXIT_OK
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        run = args.func(args)
+        if run is not None:
+            _write_manifest(args.command, started, *run)
+        return EXIT_OK
     except (ConfigError, OSError) as err:
         log.error("%s", err)
         return EXIT_USAGE

@@ -23,8 +23,9 @@ CSV schemas (documented; loaders validate and fail loudly):
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -107,16 +108,27 @@ def _format_row(values) -> str:
     return ",".join(f"{v:.17g}" for v in values)
 
 
+def _read_lines(path, error) -> list[str]:
+    """The lines of a UTF-8 text file, as text-mode readlines() gives them;
+    bytes that are not UTF-8 raise `error` naming the file line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"{path}:{line}: byte {raw[err.start]:#04x} is not UTF-8 text") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
 def read_table(path, expected_columns: int | None = None) -> np.ndarray:
     """Read a numeric CSV (header row optional) into a 2-D float array.
 
     A cell that does not parse, or parses to NaN or an infinity, raises
-    DataError naming its file line.
+    DataError naming its file line; so does a byte that is not UTF-8.
     """
     path = Path(path)
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = _read_lines(path, DataError)
     start = 0
     if lines:
         first = lines[0].strip()
@@ -277,6 +289,9 @@ class SynthConfig:
     seed: int = 42
 
     def validate(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.duration > 0:
             raise ConfigError("duration must be positive")
         if not self.rate > 0:
@@ -440,25 +455,28 @@ def split(dataset, policy):
 def read_config_file(path) -> dict[str, str]:
     """Parse a plain key=value file; '#' starts a comment, blank lines ignored."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, value = text.split("=", 1)
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(_read_lines(path, ConfigError), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
+        key, value = text.split("=", 1)
+        out[key.strip()] = value.strip()
     return out
 
 
 def synth_config_from_mapping(mapping, base: SynthConfig | None = None) -> SynthConfig:
     """Build a SynthConfig from string key=value pairs, over a base config."""
     base = base or SynthConfig()
-    fields = {f: type(getattr(base, f)) for f in base.__dataclass_fields__}
+    types = {f: type(getattr(base, f)) for f in base.__dataclass_fields__}
     updates = {}
     for key, value in mapping.items():
-        if key not in fields:
+        if key not in types:
             raise ConfigError(f"unknown synth config key {key!r}")
-        updates[key] = fields[key](value)
+        try:
+            updates[key] = types[key](value)
+        except ValueError:
+            raise ConfigError(f"synth config key {key!r}: cannot read {value!r} "
+                              f"as {types[key].__name__}") from None
     return replace(base, **updates)

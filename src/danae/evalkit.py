@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .dataio import _write_table
 from .errors import InvalidInputError, ShapeError
 from .series import ANGLE_NAMES, AngleSeries, wrap_angle
 
@@ -129,10 +130,7 @@ def emit_plot_data(t, labeled_series, path) -> None:
         columns.append((str(label), v))
     path = Path(path)
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t," + ",".join(label for label, _ in columns) + "\n")
-            for i in range(len(t)):
-                row = [t[i]] + [v[i] for _, v in columns]
-                fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        _write_table(path, "t," + ",".join(label for label, _ in columns),
+                     np.column_stack([t] + [v for _, v in columns]))
     except OSError as err:
         raise OSError(f"cannot write plot data to {path}: {err}") from err

@@ -245,6 +245,17 @@ class TestRunKf:
             run_kf(imu)
         assert not caplog.records
 
+    @pytest.mark.parametrize("baseline, channel, col, column", [
+        (measurement_angles, "accel", 1, "accel_y"), (integrate_gyro, "gyro", 0, "gyro_x"),
+    ], ids=["measurement_angles", "integrate_gyro"])
+    def test_baseline_names_value_written_after_construction(self, baseline, channel,
+                                                             col, column):
+        # unchecked, these blamed a zero-magnitude reading or their own output
+        imu, _ = synth_trajectory(SynthConfig(duration=1.0, seed=2))
+        getattr(imu, channel)[7, col] = np.nan
+        with pytest.raises(InvalidInputError, match=f"holds nan in {column} at sample 7$"):
+            baseline(imu)
+
     def test_single_sample_series_rejected(self):
         # the length floor is enforced at construction time
         with pytest.raises(InvalidInputError):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -249,6 +250,23 @@ class TestPipeline:
         danae_test = read_angle_csv(out / "danae_test.csv")
         assert len(kf_test) == len(danae_test) == 120  # 20% of 600 samples
 
+    def test_equals_its_phases(self, tmp_path):
+        # train on the rows before the 80 % cut of pipeline's kf.csv/gt.csv,
+        # denoise its kf_test.csv: the same checkpoint and output bytes
+        out = tmp_path / "run"
+        assert run("pipeline", "--out-dir", out, "--duration", "6", "--seed", "5",
+                   "--angles", "roll", "--epochs", "2", "--stride", "10") == 0
+        cut = 1 + int(math.floor(0.8 * (len(_lines(out / "kf.csv")) - 1)))
+        kf = _write(tmp_path / "kf_train.csv", _lines(out / "kf.csv")[:cut])
+        gt = _write(tmp_path / "gt_train.csv", _lines(out / "gt.csv")[:cut])
+        model, denoised = tmp_path / "roll.ckpt", tmp_path / "danae_test.csv"
+        assert run("train", "--kf", kf, "--gt", gt, "--angle", "roll", "--epochs", "2",
+                   "--seed", "5", "--stride", "10", "--out", model) == 0
+        assert run("denoise", "--model", model, "--kf", out / "kf_test.csv",
+                   "--out", denoised) == 0
+        assert model.read_bytes() == (out / "model_roll.ckpt").read_bytes()
+        assert denoised.read_bytes() == (out / "danae_test.csv").read_bytes()
+
     def test_unknown_angle_exits_2(self, tmp_path):
         assert run("pipeline", "--out-dir", tmp_path / "x", "--duration", "6",
                    "--angles", "heading") == 2
@@ -273,31 +291,59 @@ def _write(path, lines):
     return path
 
 
-def _broken_run(command, scenario, tmp):
-    """(argv, exit code) for one subcommand on a broken input or setting."""
+# synth on a broken setting: (config file bytes, flags, what stderr names); exit 2
+_BROKEN_SYNTH = {
+    "synth": (b"duration=3\nrate 40\n", [], "bad.cfg:2: expected key=value"),
+    "synth_config_not_a_number": (b"duration=abc\n", [],
+                                  "bad.cfg: synth config key 'duration': cannot read 'abc'"),
+    "synth_config_fractional_seed": (b"seed=1.5\n", [],
+                                     "bad.cfg: synth config key 'seed': cannot read '1.5'"),
+    "synth_config_not_utf8": (b"duration=3\n\xff\n", [], "bad.cfg:2: byte 0xff is not UTF-8"),
+    "synth_infinite_duration": (b"", ["--duration", "inf"], "duration must be finite"),
+    "synth_nan_gyro_noise": (b"", ["--gyro-noise", "nan"], "gyro_noise must be finite"),
+}
+
+
+def _broken_run(case, scenario, tmp):
+    """(argv, exit code, what stderr names) for one subcommand on a broken
+    input or setting."""
     gt = scenario / "gt.csv"
-    if command == "synth":
-        bad = _write(tmp / "bad.cfg", ["duration=3", "rate 40"])
-        return ["synth", "--config", bad, "--out-dir", tmp / "out"], 2
-    if command == "kf":
+    if case in _BROKEN_SYNTH:
+        text, flags, message = _BROKEN_SYNTH[case]
+        bad = tmp / "bad.cfg"
+        bad.write_bytes(text)
+        return ["synth", "--config", bad, *flags, "--out-dir", tmp / "out"], 2, message
+    if case == "kf":
         lines = _lines(scenario / "imu.csv")
         lines[6] = lines[6].rsplit(",", 1)[0]  # one cell short
-        return ["kf", "--imu", _write(tmp / "imu.csv", lines), "--out", tmp / "kf.csv"], 3
-    if command == "train":
+        return (["kf", "--imu", _write(tmp / "imu.csv", lines), "--out", tmp / "kf.csv"],
+                3, "imu.csv:7: expected 10 columns, got 9")
+    if case == "kf_not_utf8":
+        raw = bytearray((scenario / "imu.csv").read_bytes())
+        raw[raw.index(b"\n") + 3] = 0xff  # a digit of the first data row
+        bad = tmp / "imu.csv"
+        bad.write_bytes(raw)
+        return (["kf", "--imu", bad, "--out", tmp / "kf.csv"],
+                3, "imu.csv:2: byte 0xff is not UTF-8")
+    if case == "train":
         lines = _lines(gt)
         lines[9] = lines[8]  # t no longer increases
-        return ["train", "--kf", _write(tmp / "kf.csv", lines), "--gt", gt,
-                "--angle", "roll", "--epochs", "1", "--out", tmp / "m.ckpt"], 3
-    if command == "eval":
+        return (["train", "--kf", _write(tmp / "kf.csv", lines), "--gt", gt,
+                 "--angle", "roll", "--epochs", "1", "--out", tmp / "m.ckpt"],
+                3, "timestamps not strictly increasing at data row 9")
+    if case == "eval":
         short = _write(tmp / "short.csv", _lines(gt)[:-10])
-        return ["eval", "--kf", gt, "--danae", short, "--gt", gt], 2
-    assert command == "pipeline"
-    return ["pipeline", "--out-dir", tmp / "run", "--duration", "6", "--lr", "nan"], 2
+        return ["eval", "--kf", gt, "--danae", short, "--gt", gt], 2, "lengths disagree"
+    assert case == "pipeline"
+    return (["pipeline", "--out-dir", tmp / "run", "--duration", "6", "--lr", "nan"],
+            2, "lr")
 
 
-@pytest.mark.parametrize("command", ["synth", "kf", "train", "eval", "pipeline"])
-def test_broken_input_exits_cleanly(synth_dir, tmp_path, command):
-    argv, code = _broken_run(command, synth_dir, tmp_path)
+@pytest.mark.parametrize("case", [*_BROKEN_SYNTH, "kf", "kf_not_utf8", "train", "eval",
+                                  "pipeline"])
+def test_broken_input_exits_cleanly(synth_dir, tmp_path, case):
+    argv, code, message = _broken_run(case, synth_dir, tmp_path)
     proc = run_fresh(*argv)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert message in proc.stderr

@@ -185,6 +185,13 @@ class TestCsvRoundTrip:
         ).encode()
 
 
+def test_non_utf8_byte_names_the_line(tmp_path):
+    path = tmp_path / "imu.csv"
+    path.write_bytes(b"t,roll,pitch,yaw\n0,0,0,0\n0.1,0,\xff,0\n")
+    with pytest.raises(DataError, match=r"imu.csv:3: byte 0xff is not UTF-8"):
+        read_angle_csv(path)
+
+
 class TestNonFiniteCells:
     # the bad row goes after a blank line, so the named line counts the
     # header and blank lines as the file does
@@ -275,6 +282,12 @@ class TestSynthTrajectory:
     def test_invalid_rate_rejected(self):
         with pytest.raises(ConfigError):
             synth_trajectory(SynthConfig(rate=0.0))
+
+    @pytest.mark.parametrize("key", ["duration", "gyro_noise", "roll_freq"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_setting_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            synth_trajectory(SynthConfig(**{key: value}))
 
     def test_pitch_stays_in_safe_range(self):
         _, gt = synth_trajectory(SynthConfig(duration=5.0, seed=3))
@@ -407,4 +420,16 @@ class TestConfigFile:
         path = tmp_path / "synth.cfg"
         path.write_text("duration 3\n")
         with pytest.raises(ConfigError):
+            read_config_file(path)
+
+    @pytest.mark.parametrize("line", ["duration=abc", "seed=1.5"])
+    def test_unreadable_value_names_the_key(self, line):
+        key, value = line.split("=")
+        with pytest.raises(ConfigError, match=f"'{key}': cannot read '{value}'"):
+            synth_config_from_mapping({key: value})
+
+    def test_non_utf8_byte_names_the_line(self, tmp_path):
+        path = tmp_path / "synth.cfg"
+        path.write_bytes(b"duration=3\nrate=4\xff0\n")
+        with pytest.raises(ConfigError, match=r"synth.cfg:2: byte 0xff is not UTF-8"):
             read_config_file(path)

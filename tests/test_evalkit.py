@@ -153,6 +153,12 @@ class TestEmitPlotData:
         with pytest.raises(ShapeError):
             emit_plot_data(np.arange(3), [("x", np.arange(4))], tmp_path / "p.csv")
 
+    def test_cells_written_exactly(self, tmp_path):
+        path = tmp_path / "p.csv"
+        emit_plot_data([0, 0.1], [("x", [1e300, -0.0]), ("y", [5e-324, 1.0])], path)
+        assert path.read_text() == ("t,x,y\n0,1.0000000000000001e+300,4.9406564584124654e-324\n"
+                                    "0.10000000000000001,-0,1\n")
+
     def test_unwritable_path_reports_context(self, tmp_path):
         with pytest.raises(OSError, match="plot"):
             emit_plot_data(np.arange(2), [("x", np.arange(2))],
