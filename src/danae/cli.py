@@ -33,6 +33,7 @@ from .danae_model import (
     train,
 )
 from .dataio import (
+    DEFAULT_WINDOW,
     FractionSplit,
     SynthConfig,
     _write_table,
@@ -251,9 +252,14 @@ def cmd_denoise(args):
 
 
 def cmd_eval(args):
-    outputs = _evaluate(read_angle_csv(args.kf), read_angle_csv(args.danae),
-                        read_angle_csv(args.gt), args.wrap, args.report,
-                        args.report_csv, args.plot_data)
+    kf, danae, gt = (read_angle_csv(path) for path in (args.kf, args.danae, args.gt))
+    # files that disagree are a data error, not the ShapeError evalkit raises
+    for path, series in ((args.danae, danae), (args.gt, gt)):
+        if len(series) != len(kf):
+            raise DataError(f"series lengths disagree: {path} has {len(series)} samples, "
+                            f"{args.kf} has {len(kf)}")
+    outputs = _evaluate(kf, danae, gt, args.wrap, args.report, args.report_csv,
+                        args.plot_data)
     if not outputs:
         return None
     return (Path(f"{outputs[0]}.manifest.json"), {"wrap": args.wrap},
@@ -274,12 +280,18 @@ def cmd_pipeline(args):
     if not 0.0 < args.train_fraction < 1.0:
         raise ConfigError("--train-fraction must be in (0, 1)")
     train_cfg = _train_config(args, cfg.seed)
+    cfg.validate()
+    policy = FractionSplit(args.train_fraction)
+    n = cfg.samples
+    cut = policy.cut(n)
+    if min(cut, n - cut) < DEFAULT_WINDOW:
+        raise ConfigError(f"{n} samples split {cut}/{n - cut} for training/testing; each "
+                          f"side needs at least {DEFAULT_WINDOW} (raise --duration or --rate)")
     out_dir = Path(args.out_dir)
     imu, gt, outputs = _synth(cfg, out_dir)
     estimates = run_kf(imu)
     write_angle_csv(out_dir / "kf.csv", estimates)
     outputs.append(out_dir / "kf.csv")
-    policy = FractionSplit(args.train_fraction)
     kf_train, kf_test = split(estimates, policy)
     gt_train, gt_test = split(gt, policy)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -56,7 +57,7 @@ __all__ = [
 
 DEFAULT_CHANNELS = 128
 # windows per model call in denoise_series (see its docstring)
-DENOISE_CHUNK = 64
+DENOISE_CHUNK = 32
 ENCODER_DILATIONS = (1, 2, 4, 8)
 DECODER_UP_DILATIONS = (4, 2, 1)
 
@@ -70,15 +71,17 @@ class ConvLayer:
     bias: Tensor
     activate: bool = True
 
-    def __call__(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+    def __call__(self, x: Tensor | np.ndarray,
+                 out: np.ndarray | None = None) -> Tensor | np.ndarray:
         """A Tensor input builds graph nodes; a plain array input gets a
-        plain array back and builds none."""
+        plain array back, written into `out` when given, and builds none."""
         op = conv1d_transposed if self.spec.transposed else conv1d
         if isinstance(x, Tensor):
-            y = op(x, self.weight, self.bias, self.spec)
-        else:
-            y = op(x, self.weight.data, self.bias.data, self.spec)
-        return activation(y) if self.activate else y
+            y = op(x, self.weight, self.bias, self.spec, out=out)
+            return activation(y) if self.activate else y
+        y = op(x, self.weight.data, self.bias.data, self.spec, out=out)
+        # the conv's output is this layer's own, so it is rectified in place
+        return activation(y, out=y) if self.activate else y
 
 
 @dataclass
@@ -172,17 +175,27 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
     return _assemble(layers, channels)
 
 
-def _run(model: DanaeModel, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+def _run(model: DanaeModel, x: Tensor | np.ndarray,
+         out: list[np.ndarray] | None = None) -> Tensor | np.ndarray:
+    """The forward pass; the only description of the skip wiring.
+
+    For a plain array x, `out` may give the destinations: one per layer in
+    model.layers() order, then one for the skip sums. The result is then the
+    last layer's destination.
+    """
+    layer_out = iter(out[:-1]) if out else repeat(None)
+    skip_sum = out[-1] if out else None
     skips = []
     h = x
     for layer in model.encoder:
-        h = layer(h)
+        h = layer(h, next(layer_out))
         skips.append(h)
     d = skips[-1]
     for i, std in enumerate(model.decoder_std):
-        d = std(add(skips[i], d))
+        # std_i has consumed the previous sum before the next one is written
+        d = std(add(skips[i], d, out=skip_sum), next(layer_out))
         if i < len(model.decoder_up):
-            d = model.decoder_up[i](d)
+            d = model.decoder_up[i](d, next(layer_out))
     return d
 
 
@@ -233,19 +246,36 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
     order, so the result is deterministic.
 
     Each chunk of DENOISE_CHUNK windows runs through the model as a plain
-    array, so no autograd graph is built: a layer's input is freed as soon as
-    the next layer has consumed it, and only the four encoder skips stay
-    alive. The values are bit-identical to a graph-building forward. At 128
-    channels a 64-window activation takes 1.3 MB (5.2 MB at 256 windows): a
-    quarter of the memory peak, at no clear cost in time.
+    array, so no autograd graph is built, and each layer writes its output
+    into a destination allocated once per call (one per layer output plus one
+    for the skip sums, viewed at each chunk's size). The values are
+    bit-identical to a graph-building forward.
+
+    The destinations are kept because freeing them cost more in the kernel
+    than the math took: glibc handed each freed 1.3-2.4 MB array of a
+    64-window chunk back to the kernel, and the next chunk faulted it in
+    again. One `danae denoise` of 12 000 samples (128 channels, one BLAS
+    thread) spent 1.2-1.4 s of its 8.2-9.1 s in system time on 583k minor
+    faults; with the destinations kept, 0.03 s on 11k. A chunk is 32 windows
+    (655 kB per 128-channel output) because keeping the eleven outputs of a
+    64-window chunk raised that run's peak RSS from 51.6 to 53.6 MB, where
+    32 windows give about 46 MB.
     """
     n = len(series)
     if n < DEFAULT_WINDOW:
         raise InvalidInputError(f"series must have at least {DEFAULT_WINDOW} samples")
     windows = sliding_windows(series.angle(angle_id))
+    rows = [layer.spec.out_channels for _, layer in model.layers()] + [model.channels]
+    capacity = DEFAULT_WINDOW * min(len(windows), DENOISE_CHUNK)
+    store = [np.empty(r * capacity) for r in rows]
     total = np.zeros(n)
     for lo in range(0, len(windows), DENOISE_CHUNK):
-        recon = _run(model, windows[lo:lo + DENOISE_CHUNK].T[None, :, :])[0]
+        chunk = windows[lo:lo + DENOISE_CHUNK]
+        # a prefix of each flat buffer is a C-contiguous array of the chunk's shape
+        size = DEFAULT_WINDOW * len(chunk)
+        out = [buf[:r * size].reshape(r, DEFAULT_WINDOW, len(chunk))
+               for r, buf in zip(rows, store)]
+        recon = _run(model, chunk.T[None, :, :], out)[0]
         # row j is offset j of each window; last row first adds each
         # sample's reconstructions in window order
         for j in reversed(range(DEFAULT_WINDOW)):

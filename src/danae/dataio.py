@@ -181,6 +181,9 @@ def _write_table(path, header: str, table: np.ndarray) -> None:
 
 
 def write_angle_csv(path, series: AngleSeries) -> None:
+    # the arrays stay writable, so a value set after construction is checked
+    # here rather than written as a cell read_table would reject
+    series.check_finite()
     _write_table(path, "t,roll,pitch,yaw", np.column_stack([series.t, series.angles]))
 
 
@@ -191,6 +194,7 @@ def read_angle_csv(path) -> AngleSeries:
 
 
 def write_imu_csv(path, series: ImuSeries) -> None:
+    series.check_finite()
     _write_table(path, "t,gyro_x,gyro_y,gyro_z,accel_x,accel_y,accel_z,mag_x,mag_y,mag_z",
                  np.column_stack([series.t, series.gyro, series.accel, series.mag]))
 
@@ -303,6 +307,11 @@ class SynthConfig:
         if abs(self.pitch_amp) >= 1.2:
             raise ConfigError("pitch amplitude must stay below 1.2 rad")
 
+    @property
+    def samples(self) -> int:
+        """The scenario's sample count, round(duration * rate); validate first."""
+        return int(round(self.duration * self.rate))
+
 
 # phase offsets keep the three sinusoids out of lockstep
 _SYNTH_PHASES = np.array([0.0, 1.0, 2.0])
@@ -349,7 +358,7 @@ def synth_trajectory(cfg: SynthConfig) -> tuple[ImuSeries, AngleSeries]:
     white noise; the gyro additionally carries a constant bias on each axis.
     """
     cfg.validate()
-    n = int(round(cfg.duration * cfg.rate))
+    n = cfg.samples
     if n < 2:
         raise ConfigError("duration * rate must give at least 2 samples")
     t = np.arange(n) / cfg.rate
@@ -435,6 +444,10 @@ class FractionSplit:
 
     fraction: float = 0.8
 
+    def cut(self, n: int) -> int:
+        """Where a series of n samples splits: floor(fraction * n)."""
+        return int(math.floor(self.fraction * n))
+
 
 def split(dataset, policy):
     """Partition a dataset into (train, test) without reordering anything.
@@ -444,7 +457,7 @@ def split(dataset, policy):
     if isinstance(policy, FractionSplit):
         if not 0.0 < policy.fraction < 1.0:
             raise InvalidInputError("fraction must be in (0, 1)")
-        cut = int(math.floor(policy.fraction * len(dataset)))
+        cut = policy.cut(len(dataset))
         return dataset[:cut], dataset[cut:]
     raise ConfigError(f"unknown split policy: {policy!r}")
 

@@ -129,9 +129,13 @@ class AngleSeries:
         self.angles = _as_matrix("angles", angles, 3)
         if len(self.t) != len(self.angles):
             raise ShapeError("t and angles lengths disagree")
+        self.check_finite()
+        self.meta = dict(meta) if meta else {}
+
+    def check_finite(self) -> None:
+        """Raise InvalidInputError naming the first non-finite value's sample and column."""
         _check_finite("angle series", ("t",) + ANGLE_NAMES,
                       np.column_stack([self.t, self.angles]))
-        self.meta = dict(meta) if meta else {}
 
     def __len__(self) -> int:
         return len(self.t)

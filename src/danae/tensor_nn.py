@@ -8,7 +8,12 @@ natural shapes.
 
 The operations also take plain arrays: when no argument is a Tensor they
 return a plain array and build no graph node or closure, so inference keeps
-nothing alive beyond the activations it still needs.
+nothing alive beyond the activations it still needs. On that path conv1d,
+conv1d_transposed, activation and add take a numpy-style `out=`: the result
+is written into that C-contiguous float64 array of the result's shape, which
+is returned, so a caller can keep one destination per layer across calls
+(activation(x, out=x) rectifies in place). `out=` with a Tensor argument is
+a StateError, since a graph node must own its value.
 
 Convolutions use cross-correlation semantics (no kernel flip) at stride 1.
 The correlation is shift-and-add: one matrix product per kernel tap against
@@ -166,14 +171,17 @@ def _tap_stack(w: np.ndarray, flipped: bool) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
-def _corr(x: np.ndarray, w_taps: np.ndarray, padding: int, dilation: int) -> np.ndarray:
-    """Cross-correlate (I, L, B) with a (k, O, I) tap stack -> (O, T, B)."""
+def _corr(x: np.ndarray, w_taps: np.ndarray, padding: int, dilation: int,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Cross-correlate (I, L, B) with a (k, O, I) tap stack -> (O, T, B), into
+    `out` when given (a checked C-contiguous array of that shape)."""
     taps, t = _taps(x, padding, dilation, len(w_taps))
+    shape = (w_taps.shape[1], t, x.shape[2])
     # contiguous (O, I) tap matrices keep every product on BLAS
-    y = w_taps[0] @ taps[0]
+    y = np.matmul(w_taps[0], taps[0], out=None if out is None else out.reshape(shape[0], -1))
     for w_j, x_j in zip(w_taps[1:], taps[1:]):
         y += w_j @ x_j
-    return y.reshape(w_taps.shape[1], t, x.shape[2])
+    return y.reshape(shape)
 
 
 def _with_batch(data: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -194,25 +202,40 @@ def _value(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+def _check_out(out: np.ndarray, shape: tuple[int, ...], *args) -> None:
+    """`out=` takes plain-array arguments only, since a graph node owns its
+    value, and a C-contiguous float64 array of the result's shape: a conv
+    writes it through a reshaped view, which other arrays would not give."""
+    if _tensor_parents(*args):
+        raise StateError("out= is for plain arrays; a Tensor result owns its value")
+    if not (isinstance(out, np.ndarray) and out.shape == shape
+            and out.dtype == np.float64 and out.flags.c_contiguous):
+        got = (f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray)
+               else type(out).__name__)
+        raise ShapeError(f"out must be a C-contiguous float64 array of shape {shape}, "
+                         f"got {got}")
+
+
 # ---------------------------------------------------------------------------
 # operations
 
-def conv1d(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
+def conv1d(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec,
+           out: np.ndarray | None = None) -> Tensor | np.ndarray:
     """Dilated 1-D convolution, weights (out_ch, in_ch, k), bias (out_ch,) or None."""
     if spec.transposed:
         raise ConfigError("conv1d needs a non-transposed spec")
-    return _conv(x, weights, bias, spec)
+    return _conv(x, weights, bias, spec, out)
 
 
-def conv1d_transposed(x: Tensor | np.ndarray, weights, bias,
-                      spec: ConvSpec) -> Tensor | np.ndarray:
+def conv1d_transposed(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec,
+                      out: np.ndarray | None = None) -> Tensor | np.ndarray:
     """Adjoint of conv1d at the same padding/dilation; weights (in_ch, out_ch, k)."""
     if not spec.transposed:
         raise ConfigError("conv1d_transposed needs a transposed spec")
-    return _conv(x, weights, bias, spec)
+    return _conv(x, weights, bias, spec, out)
 
 
-def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
+def _conv(x, weights, bias, spec: ConvSpec, out) -> Tensor | np.ndarray:
     """Shared body of conv1d and conv1d_transposed."""
     wd = _value(weights)
     if wd.shape != spec.weight_shape():
@@ -223,12 +246,19 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     # the scatter form is a correlation with the flipped tap stack and
     # complementary padding
     padding = spec.span - spec.padding if spec.transposed else spec.padding
-    y = _corr(xd, _tap_stack(wd, spec.transposed), padding, spec.dilation)
     if bias is not None:
         bd = _value(bias)
         if bd.shape != (spec.out_channels,):
             raise ShapeError(f"bias must be ({spec.out_channels},), got {bd.shape}")
+    if out is not None:
+        shape = (spec.out_channels, spec.out_length(xd.shape[1]), xd.shape[2])
+        _check_out(out, shape[:2] if squeeze else shape, x, weights, bias)
+    y = _corr(xd, _tap_stack(wd, spec.transposed), padding, spec.dilation,
+              None if out is None else out.reshape(shape))
+    if bias is not None:
         y += bd[:, None, None]
+    if out is not None:
+        return out
     y = y[..., 0] if squeeze else y
     parents = _tensor_parents(x, weights, bias)
     if not parents:
@@ -256,10 +286,12 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     return Tensor(y, parents, backward_fn)
 
 
-def activation(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
+def activation(x: Tensor | np.ndarray, out: np.ndarray | None = None) -> Tensor | np.ndarray:
     """Leaky rectifier: y = x where x > 0, else LEAKY_SLOPE * x."""
     xd = _value(x)
-    y = np.maximum(xd, LEAKY_SLOPE * xd)
+    if out is not None:
+        _check_out(out, xd.shape, x)
+    y = np.maximum(xd, LEAKY_SLOPE * xd, out=out)
     if not isinstance(x, Tensor):
         return y
     slope = np.where(xd > 0, 1.0, LEAKY_SLOPE)
@@ -270,12 +302,15 @@ def activation(x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     return Tensor(y, (x,), backward_fn)
 
 
-def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarray:
+def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray,
+        out: np.ndarray | None = None) -> Tensor | np.ndarray:
     """Elementwise sum of two same-shape tensors (the skip-sum primitive)."""
     ad, bd = _value(a), _value(b)
     if ad.shape != bd.shape:
         raise ShapeError(f"cannot add shapes {ad.shape} and {bd.shape}")
-    y = ad + bd
+    if out is not None:
+        _check_out(out, ad.shape, a, b)
+    y = np.add(ad, bd, out=out)
     parents = _tensor_parents(a, b)
     if not parents:
         return y
@@ -431,9 +466,13 @@ def read_checkpoint(path) -> tuple[dict, dict]:
     version, hlen = struct.unpack_from("<IQ", raw, len(CHECKPOINT_MAGIC))
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
+    if off + hlen > len(raw):
+        raise DataError(f"{path}: truncated checkpoint header")
     try:
         header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (ValueError, RecursionError) as err:
+        # bad UTF-8 or JSON, an integer past Python's digit limit, or nesting
+        # past the recursion limit
         raise DataError(f"{path}: corrupt checkpoint header: {err}") from None
     off += hlen
     if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
@@ -448,8 +487,13 @@ def read_checkpoint(path) -> tuple[dict, dict]:
         end = off + 8 * math.prod(shape)
         if end > len(raw):
             raise DataError(f"{path}: truncated checkpoint payload")
-        arrays[entry["name"]] = np.frombuffer(
-            raw[off:end], dtype="<f8").reshape(shape).copy()
+        try:
+            # an empty array may still claim more dimensions, or a longer
+            # one, than numpy can hold
+            arrays[entry["name"]] = np.frombuffer(
+                raw[off:end], dtype="<f8").reshape(shape).copy()
+        except ValueError as err:
+            raise DataError(f"{path}: checkpoint array entry {index}: {err}") from None
         off = end
     if off != len(raw):
         raise DataError(f"{path}: {len(raw) - off} trailing bytes after payload")

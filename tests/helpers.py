@@ -116,6 +116,7 @@ def corrupt_checkpoints(good_path, out_dir):
     files = {
         "version_0": (raw[:9] + struct.pack("<I", 0) + raw[13:], ConfigError),
         "13_bytes": (raw[:13], DataError),
+        "header_past_end": (raw[:13] + struct.pack("<Q", len(raw)) + raw[21:], DataError),
         "no_arrays": (header_only_checkpoint({"meta": meta}), DataError),
         "bad_array_entry": (
             header_only_checkpoint({"meta": meta, "arrays": [{"name": "enc0.w"}]}),

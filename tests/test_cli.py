@@ -226,12 +226,12 @@ class TestEval:
         assert plot_header.startswith("t,kf_roll")
         assert len(plot_header.split(",")) == 10
 
-    def test_mismatched_lengths_exit_2(self, trained, tmp_path):
+    def test_mismatched_lengths_exit_3(self, trained, tmp_path):
         short = tmp_path / "short.csv"
         lines = trained["kf"].read_text().splitlines()
         short.write_text("\n".join(lines[:-10]) + "\n")
         assert run("eval", "--kf", trained["kf"], "--danae", short,
-                   "--gt", trained["gt"]) == 2
+                   "--gt", trained["gt"]) == 3
 
 
 class TestPipeline:
@@ -274,12 +274,14 @@ class TestPipeline:
     @pytest.mark.parametrize("flags", [
         ("--stride", "0"), ("--epochs", "0"), ("--angles", ","),
         ("--angles", "roll,roll"), ("--lr", "nan"), ("--lr", "-5"), ("--lr", "0"),
+        # 30 samples: 24 to train on, 6 to denoise, fewer than one window
+        ("--duration", "0.3", "--angles", "roll", "--epochs", "1"),
     ], ids=["stride_0", "epochs_0", "no_angle", "angle_twice", "lr_nan", "lr_negative",
-            "lr_0"])
+            "lr_0", "test_split_short"])
     def test_bad_setting_exits_2_before_synth(self, tmp_path, flags):
         out = tmp_path / "x"
         assert run("pipeline", "--out-dir", out, "--duration", "6", *flags) == 2
-        assert not (out / "imu.csv").exists()
+        assert not out.exists()
 
 
 def _lines(path):
@@ -333,7 +335,8 @@ def _broken_run(case, scenario, tmp):
                 3, "timestamps not strictly increasing at data row 9")
     if case == "eval":
         short = _write(tmp / "short.csv", _lines(gt)[:-10])
-        return ["eval", "--kf", gt, "--danae", short, "--gt", gt], 2, "lengths disagree"
+        return (["eval", "--kf", gt, "--danae", short, "--gt", gt], 3,
+                f"{short} has {len(_lines(short)) - 1} samples, {gt} has")
     assert case == "pipeline"
     return (["pipeline", "--out-dir", tmp / "run", "--duration", "6", "--lr", "nan"],
             2, "lr")

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import danae
 from danae.danae_model import (
     DEFAULT_WINDOW,
     TrainConfig,
@@ -190,8 +196,8 @@ class TestDenoiseSeries:
     def test_bit_equal_to_graph_building_forward(self):
         rng = np.random.default_rng(12)
         model = build_model(5, channels=8)
-        # 581 windows: ten DENOISE_CHUNK chunks here and three 256-window
-        # chunks in the reference, the last of each short
+        # 581 windows: nineteen DENOISE_CHUNK chunks here and three
+        # 256-window chunks in the reference, the last of each short
         n = 600
         series = AngleSeries(np.arange(n) * 0.01, rng.normal(size=(n, 3)) * 0.3)
         out = denoise_series(model, series, "pitch")
@@ -216,8 +222,9 @@ class TestDenoiseSeries:
         assert peak < 0.5 * graph_peak, (peak, graph_peak)
 
     def test_peak_memory_is_one_small_chunk(self):
-        # one 64-window chunk of the 128-channel model holds 1.3 MB per
-        # activation; a 256-window chunk put the peak near 48 MB
+        # one 32-window chunk of the 128-channel model holds 655 kB per
+        # layer output, twelve of them kept for the call; a 256-window chunk
+        # put the peak near 48 MB
         model = build_model(3)
         n = 1300
         series = AngleSeries(np.arange(n) * 0.01,
@@ -229,6 +236,35 @@ class TestDenoiseSeries:
         finally:
             tracemalloc.stop()
         assert peak < 20e6, peak
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts glibc's minor page faults")
+    def test_no_page_faults_per_chunk(self):
+        # freeing each chunk's layer outputs let glibc hand them back to the
+        # kernel and fault them in again for the next chunk: 1 300 -> 3 000
+        # samples added 79k minor faults; with the outputs kept for the call
+        # it adds almost none. A fresh interpreter has the default heap
+        # trim threshold, which the test process's earlier work has raised.
+        code = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            from danae.danae_model import build_model, denoise_series
+            from danae.series import AngleSeries
+            n = int(sys.argv[1])
+            series = AngleSeries(np.arange(n) * 0.01,
+                                 np.random.default_rng(14).normal(size=(n, 3)))
+            model = build_model(3)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            denoise_series(model, series, "roll")
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(Path(danae.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1"}
+        faults = [int(subprocess.run([sys.executable, "-c", code, str(n)], env=env,
+                                     capture_output=True, text=True, check=True,
+                                     timeout=120).stdout)
+                  for n in (1300, 3000)]
+        assert faults[1] - faults[0] < 20_000, faults
 
     def test_constant_series_interior_output_constant(self):
         # every window is identical, so every sample covered by all 20

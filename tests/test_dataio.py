@@ -229,6 +229,27 @@ class TestNonFiniteCells:
         with pytest.raises(DataError, match=f"angles.csv:{lineno}: column 3 holds 'nan'"):
             read_angle_csv(path)
 
+    # the series arrays stay writable: a value set after construction is
+    # rejected before the file is opened, not written as a cell read_table
+    # would later reject
+    def test_angle_writer_names_value_written_after_construction(self, tmp_path):
+        series = AngleSeries(np.arange(12) * 0.01, np.zeros((12, 3)))
+        series.angles[7, 1] = np.nan
+        path = tmp_path / "angles.csv"
+        with pytest.raises(InvalidInputError,
+                           match="angle series holds nan in pitch at sample 7"):
+            write_angle_csv(path, series)
+        assert not path.exists()
+
+    def test_imu_writer_names_value_written_after_construction(self, tmp_path):
+        imu, _ = synth_trajectory(SynthConfig(duration=0.2, seed=5))
+        imu.gyro[4, 2] = -np.inf
+        path = tmp_path / "imu.csv"
+        with pytest.raises(InvalidInputError,
+                           match="IMU series holds -inf in gyro_z at sample 4"):
+            write_imu_csv(path, imu)
+        assert not path.exists()
+
 
 class TestSynthTrajectory:
     def test_same_seed_bitwise_identical(self):

@@ -389,7 +389,8 @@ class TestBatchedBackward:
 
 class TestArrayPath:
     """Plain-array arguments take the graph-free path: same values, bit for
-    bit, as the Tensor call, returned as a plain array with no node."""
+    bit, as the Tensor call, returned as a plain array with no node, and
+    written into `out` when it is given."""
 
     @pytest.mark.parametrize("op", [conv1d, conv1d_transposed])
     @pytest.mark.parametrize("batch", [None, 3])
@@ -406,6 +407,9 @@ class TestArrayPath:
                 assert type(y) is np.ndarray
                 assert y.tobytes() == ref.data.tobytes()
                 assert y.shape == ref.data.shape
+                out = np.full(y.shape, np.nan)
+                assert op(x, w, bias, spec, out=out) is out
+                assert out.tobytes() == y.tobytes()
 
     def test_activation_bit_equal_to_slope_product(self):
         # the product form x * slope is the rectifier's definition; the
@@ -418,6 +422,12 @@ class TestArrayPath:
             y = activation(x)
             assert type(y) is np.ndarray
             assert y.tobytes() == ref.tobytes()
+            out = np.full(x.shape, np.nan)
+            assert activation(x, out=out) is out
+            assert out.tobytes() == ref.tobytes()
+            inplace = x.copy()
+            assert activation(inplace, out=inplace) is inplace
+            assert inplace.tobytes() == ref.tobytes()
             yt = activation(Tensor(x))
             assert isinstance(yt, Tensor)
             assert yt.data.tobytes() == ref.tobytes()
@@ -428,8 +438,36 @@ class TestArrayPath:
         y = add(a, b)
         assert type(y) is np.ndarray
         assert y.tobytes() == add(Tensor(a), Tensor(b)).data.tobytes()
+        out = np.full(a.shape, np.nan)
+        assert add(a, b, out=out) is out
+        assert out.tobytes() == y.tobytes()
         with pytest.raises(ShapeError):
             add(a, b[:, :4])
+
+    def test_out_needs_plain_arrays_and_the_result_shape(self):
+        rng = np.random.default_rng(65)
+        spec = ConvSpec(2, 3, 3, padding=1)
+        w = rng.normal(size=spec.weight_shape())
+        x = rng.normal(size=(2, 6, 4))
+        out = np.empty((3, 6, 4))
+        # a graph node owns its value, so no Tensor argument takes out=
+        for call in (lambda: conv1d(Tensor(x), w, None, spec, out=out),
+                     lambda: conv1d(x, Tensor(w), None, spec, out=out),
+                     lambda: conv1d(x, w, Tensor(np.zeros(3)), spec, out=out),
+                     lambda: activation(Tensor(out), out=out),
+                     lambda: add(out, Tensor(out), out=out)):
+            with pytest.raises(StateError, match="out="):
+                call()
+        # a conv writes through a reshaped view, so the array must be exactly
+        # the C-contiguous float64 result
+        for bad in (np.empty((3, 6, 5)), np.empty((3, 6)),
+                    np.empty((3, 4, 6)).transpose(0, 2, 1),
+                    np.empty((3, 6, 4), dtype=np.float32), [[0.0]]):
+            for call in (lambda: conv1d(x, w, None, spec, out=bad),
+                         lambda: activation(out, out=bad),
+                         lambda: add(out, out, out=bad)):
+                with pytest.raises(ShapeError, match="out must be"):
+                    call()
 
     def test_any_tensor_argument_builds_a_node(self):
         rng = np.random.default_rng(64)
