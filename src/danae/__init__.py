@@ -6,8 +6,6 @@ with a synthetic-data harness so the whole pipeline is testable offline.
 __version__ = "0.1.0"
 
 from .attitude_kf import (
-    EulerAngles,
-    ImuSample,
     KfConfig,
     KfState,
     accel_to_roll_pitch,
@@ -29,9 +27,7 @@ from .danae_model import (
     train,
 )
 from .dataio import (
-    AngleSeries,
     FractionSplit,
-    ImuSeries,
     SynthConfig,
     WindowSet,
     euler_to_quat,
@@ -45,6 +41,7 @@ from .dataio import (
     write_angle_csv,
 )
 from .evalkit import MetricsReport, build_report, deviations, emit_plot_data
+from .series import AngleSeries, EulerAngles, ImuSeries
 from .tensor_nn import (
     AdamState,
     ConvSpec,
@@ -59,7 +56,7 @@ from .tensor_nn import (
 
 __all__ = [
     "__version__",
-    "EulerAngles", "ImuSample", "KfConfig", "KfState",
+    "EulerAngles", "KfConfig", "KfState",
     "accel_to_roll_pitch", "mag_to_yaw", "gyro_delta", "kf_step", "run_kf",
     "integrate_gyro", "measurement_angles",
     "DanaeModel", "TrainConfig", "build_model", "forward", "train",

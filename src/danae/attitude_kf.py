@@ -17,11 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, NumericalError, ShapeError
-from .series import AngleSeries, EulerAngles, ImuSample, ImuSeries, wrap_angle
+from .series import AngleSeries, ImuSeries, wrap_angle
 
 __all__ = [
-    "ImuSample",
-    "EulerAngles",
     "KfConfig",
     "KfState",
     "accel_to_roll_pitch",
@@ -212,15 +210,13 @@ def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
     return AngleSeries(series.t.copy(), out, {"estimator": "kf"})
 
 
-def integrate_gyro(series: ImuSeries, init: EulerAngles | None = None) -> AngleSeries:
-    """Dead-reckoning baseline: accumulate gyro_delta with no measurements."""
+def integrate_gyro(series: ImuSeries) -> AngleSeries:
+    """Dead-reckoning baseline: start from sample 0's accel/mag measurement,
+    as run_kf does, then accumulate gyro_delta with no measurements."""
     if len(series) < 2:
         raise InvalidInputError("integrate_gyro needs at least 2 samples")
     series.check_finite()
-    if init is None:
-        x = _measure(series.accel[0], series.mag[0])
-    else:
-        x = init.as_array().copy()
+    x = _measure(series.accel[0], series.mag[0])
     out = np.empty((len(series), 3))
     out[0] = x
     for i in range(1, len(series)):

@@ -104,8 +104,8 @@ def _write_plot_data(path, kf, danae, gt) -> None:
 
 def _synth(cfg: SynthConfig, out_dir: Path):
     """Synthesise the scenario into out_dir: (imu, gt, [imu.csv, gt.csv])."""
+    imu, gt = synth_trajectory(cfg)  # validates cfg before out_dir is made
     out_dir.mkdir(parents=True, exist_ok=True)
-    imu, gt = synth_trajectory(cfg)
     paths = [out_dir / "imu.csv", out_dir / "gt.csv"]
     write_imu_csv(paths[0], imu)
     write_angle_csv(paths[1], gt)

@@ -26,8 +26,8 @@ from itertools import repeat
 import numpy as np
 
 from .dataio import DEFAULT_WINDOW, WindowSet, sliding_windows
-from .errors import ConfigError, InvalidInputError, ShapeError
-from .series import AngleSeries
+from .errors import ConfigError, InvalidInputError, NumericalError, ShapeError
+from .series import ANGLE_NAMES, AngleSeries, angle_index
 from .tensor_nn import (
     AdamState,
     ConvSpec,
@@ -91,7 +91,11 @@ class DanaeModel:
     encoder: list[ConvLayer]
     decoder_up: list[ConvLayer]
     decoder_std: list[ConvLayer]
-    channels: int = DEFAULT_CHANNELS
+
+    @property
+    def channels(self) -> int:
+        """The hidden width: enc0's output channels."""
+        return self.encoder[0].spec.out_channels
 
     def layers(self) -> list[tuple[str, ConvLayer]]:
         """(name, layer) pairs in forward-execution order."""
@@ -131,6 +135,8 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
 
@@ -152,11 +158,11 @@ def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
     return rows
 
 
-def _assemble(layers: list[ConvLayer], channels: int) -> DanaeModel:
+def _assemble(layers: list[ConvLayer]) -> DanaeModel:
     """A DanaeModel from layers in _architecture order: the encoder first,
     then std and up layers alternating."""
     n = len(ENCODER_DILATIONS)
-    return DanaeModel(layers[:n], layers[n + 1::2], layers[n::2], channels)
+    return DanaeModel(layers[:n], layers[n + 1::2], layers[n::2])
 
 
 def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
@@ -172,7 +178,7 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
         scale = 1.0 / np.sqrt(spec.in_channels * spec.kernel_size)
         weight = Tensor(rng.uniform(-scale, scale, spec.weight_shape()))
         layers.append(ConvLayer(spec, weight, Tensor(np.zeros(spec.out_channels)), activate))
-    return _assemble(layers, channels)
+    return _assemble(layers)
 
 
 def _run(model: DanaeModel, x: Tensor | np.ndarray,
@@ -208,7 +214,11 @@ def forward(model: DanaeModel, window) -> Tensor:
 
 
 def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float]:
-    """Adam-train the model in place; returns the mean loss per epoch."""
+    """Adam-train the model in place; returns the mean loss per epoch.
+
+    An epoch whose mean loss is not finite raises NumericalError naming it:
+    the weights have diverged, and every later epoch would be NaN too.
+    """
     cfg.validate()
     if len(windows) == 0:
         raise InvalidInputError("cannot train on an empty window set")
@@ -221,7 +231,7 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
     rng = np.random.default_rng(cfg.seed)
     count = len(windows)
     history = []
-    for _ in range(cfg.epochs):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(count)
         total = 0.0
         for start in range(0, count, cfg.batch_size):
@@ -234,7 +244,11 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
             backward(loss)
             adam_step(params, [p.grad for p in params], state)
             total += loss.item() * len(batch)
-        history.append(total / count)
+        mean = total / count
+        if not math.isfinite(mean):
+            raise NumericalError(f"training diverged: epoch {epoch}'s mean loss is {mean} "
+                                 f"(learning rate {cfg.lr})")
+        history.append(mean)
     return history
 
 
@@ -300,13 +314,14 @@ def _layer_meta(name: str, spec: ConvSpec, activate: bool) -> dict:
     }
 
 
-def save_model(path, model: DanaeModel, angle_id: str | None = None) -> None:
-    """Serialize the model to the package checkpoint format."""
+def save_model(path, model: DanaeModel, angle_id=None) -> None:
+    """Serialize the model to the package checkpoint format; the angle, given
+    by name or index, is recorded by name."""
     meta = {
         "kind": "danae-model",
         "channels": model.channels,
         "window_length": DEFAULT_WINDOW,
-        "angle": angle_id,
+        "angle": None if angle_id is None else ANGLE_NAMES[angle_index(angle_id)],
         "layers": [_layer_meta(name, layer.spec, layer.activate)
                    for name, layer in model.layers()],
     }
@@ -320,10 +335,11 @@ def save_model(path, model: DanaeModel, angle_id: str | None = None) -> None:
 def load_model(path) -> tuple[DanaeModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, meta).
 
-    The checkpoint's window length must be DEFAULT_WINDOW and its layer
-    list must equal the DANAE architecture for its channel count; anything
-    else is a ConfigError naming the file. The layers are built from that
-    architecture; only the weights and biases come from the file.
+    The checkpoint's window length must be DEFAULT_WINDOW, its angle null or
+    one of ANGLE_NAMES, and its layer list must equal the DANAE architecture
+    for its channel count; anything else is a ConfigError naming the file.
+    The layers are built from that architecture; only the weights and biases
+    come from the file.
     """
     meta, arrays = read_checkpoint(path)
     if meta.get("kind") != "danae-model":
@@ -333,6 +349,9 @@ def load_model(path) -> tuple[DanaeModel, dict]:
     if meta.get("window_length") != DEFAULT_WINDOW:
         raise ConfigError(f"{path}: window_length {meta.get('window_length')!r}, but the "
                           f"denoiser takes {DEFAULT_WINDOW}-sample windows")
+    if meta.get("angle") is not None and meta["angle"] not in ANGLE_NAMES:
+        raise ConfigError(f"{path}: angle {meta['angle']!r} is none of "
+                          f"{', '.join(ANGLE_NAMES)}")
     rows = _architecture(meta["channels"])
     _check_layers(path, meta.get("layers"), [_layer_meta(*row) for row in rows],
                   meta["channels"])
@@ -345,7 +364,7 @@ def load_model(path) -> tuple[DanaeModel, dict]:
         if weight.shape != spec.weight_shape() or bias.shape != (spec.out_channels,):
             raise ShapeError(f"{path}: array shapes disagree with layer {name}")
         layers.append(ConvLayer(spec, Tensor(weight), Tensor(bias), activate))
-    return _assemble(layers, meta["channels"]), meta
+    return _assemble(layers), meta
 
 
 def _check_layers(path, layers, expected: list[dict], channels: int) -> None:

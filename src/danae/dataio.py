@@ -31,11 +31,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, InvalidInputError, ShapeError
-from .series import ANGLE_NAMES, AngleSeries, EulerAngles, ImuSeries, angle_index, wrap_angle
+from .series import _ANGLE_COLUMNS, _IMU_COLUMNS, AngleSeries, EulerAngles, ImuSeries, wrap_angle
 
 __all__ = [
-    "ImuSeries",
-    "AngleSeries",
     "WindowSet",
     "SynthConfig",
     "FractionSplit",
@@ -184,7 +182,7 @@ def write_angle_csv(path, series: AngleSeries) -> None:
     # the arrays stay writable, so a value set after construction is checked
     # here rather than written as a cell read_table would reject
     series.check_finite()
-    _write_table(path, "t,roll,pitch,yaw", np.column_stack([series.t, series.angles]))
+    _write_table(path, ",".join(_ANGLE_COLUMNS), np.column_stack([series.t, series.angles]))
 
 
 def read_angle_csv(path) -> AngleSeries:
@@ -195,7 +193,7 @@ def read_angle_csv(path) -> AngleSeries:
 
 def write_imu_csv(path, series: ImuSeries) -> None:
     series.check_finite()
-    _write_table(path, "t,gyro_x,gyro_y,gyro_z,accel_x,accel_y,accel_z,mag_x,mag_y,mag_z",
+    _write_table(path, ",".join(_IMU_COLUMNS),
                  np.column_stack([series.t, series.gyro, series.accel, series.mag]))
 
 
@@ -300,6 +298,8 @@ class SynthConfig:
             raise ConfigError("duration must be positive")
         if not self.rate > 0:
             raise ConfigError("rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("gyro_noise", "accel_noise", "mag_noise"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -398,7 +398,6 @@ class WindowSet:
 
     inputs: np.ndarray   # (M, DEFAULT_WINDOW)
     targets: np.ndarray  # (M, DEFAULT_WINDOW)
-    angle_id: str
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
@@ -430,11 +429,9 @@ def make_windows(estimates: AngleSeries, truth: AngleSeries, angle_id,
         )
     if stride < 1:
         raise InvalidInputError("stride must be >= 1")
-    name = ANGLE_NAMES[angle_index(angle_id)]
     return WindowSet(
         sliding_windows(estimates.angle(angle_id), stride),
         sliding_windows(truth.angle(angle_id), stride),
-        name,
     )
 
 

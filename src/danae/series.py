@@ -1,4 +1,4 @@
-"""Core value types: IMU samples and time-aligned series of them or of angles.
+"""Core value types: one attitude, and time-aligned IMU or angle series.
 
 Angle convention used package-wide: intrinsic Z-Y-X Euler angles
 (roll phi about x, pitch theta about y, yaw psi about z), radians.
@@ -6,6 +6,7 @@ Angle convention used package-wide: intrinsic Z-Y-X Euler angles
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +14,9 @@ import numpy as np
 from .errors import InvalidInputError, ShapeError
 
 ANGLE_NAMES = ("roll", "pitch", "yaw")
+# the column names of each series, in the order the canonical CSV files hold them
 _IMU_COLUMNS = ("t",) + tuple(f"{s}_{a}" for s in ("gyro", "accel", "mag") for a in "xyz")
+_ANGLE_COLUMNS = ("t",) + ANGLE_NAMES
 
 
 def wrap_angle(x):
@@ -22,26 +25,22 @@ def wrap_angle(x):
 
 
 def angle_index(angle_id) -> int:
-    """Resolve 'roll'/'pitch'/'yaw' (or an index 0..2) to a column index."""
+    """Resolve 'roll'/'pitch'/'yaw' (or an integer index 0..2) to a column index.
+
+    Anything else raises InvalidInputError, a float or a bool included:
+    int() would silently take 1.7 or True as pitch.
+    """
     if isinstance(angle_id, str):
+        i = ANGLE_NAMES.index(angle_id) if angle_id in ANGLE_NAMES else None
+    else:
         try:
-            return ANGLE_NAMES.index(angle_id)
-        except ValueError:
-            raise InvalidInputError(f"unknown angle id {angle_id!r}") from None
-    i = int(angle_id)
+            i = None if isinstance(angle_id, bool) else operator.index(angle_id)
+        except TypeError:
+            i = None
     if i not in (0, 1, 2):
-        raise InvalidInputError(f"angle index out of range: {angle_id!r}")
+        raise InvalidInputError(f"unknown angle id {angle_id!r}: expected one of "
+                                f"{', '.join(ANGLE_NAMES)} or an index 0..2")
     return i
-
-
-@dataclass(frozen=True)
-class ImuSample:
-    """One timestamped IMU reading: gyro in rad/s, accel in m/s^2, mag unitless."""
-
-    t: float
-    gyro: np.ndarray
-    accel: np.ndarray
-    mag: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,11 @@ def _check_finite(kind: str, columns, table: np.ndarray) -> None:
             f"{kind} holds {table[row, col]} in {columns[col]} at sample {row}")
 
 
+def _check_slice(key) -> None:
+    if not isinstance(key, slice):
+        raise TypeError(f"a series takes slices only, not {type(key).__name__}")
+
+
 class ImuSeries:
     """A time-ordered IMU log held as (N,) / (N,3) arrays.
 
@@ -110,15 +114,14 @@ class ImuSeries:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return ImuSeries(self.t[key], self.gyro[key], self.accel[key],
-                             self.mag[key], self.source)
-        return ImuSample(float(self.t[key]), self.gyro[key].copy(),
-                         self.accel[key].copy(), self.mag[key].copy())
+    def __getitem__(self, key: slice) -> "ImuSeries":
+        """A sub-series; there is no per-sample view, so only slices are taken."""
+        _check_slice(key)
+        return ImuSeries(self.t[key], self.gyro[key], self.accel[key],
+                         self.mag[key], self.source)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    # without this, iter() would fall back to __getitem__(0), (1), ...
+    __iter__ = None
 
 
 class AngleSeries:
@@ -134,17 +137,18 @@ class AngleSeries:
 
     def check_finite(self) -> None:
         """Raise InvalidInputError naming the first non-finite value's sample and column."""
-        _check_finite("angle series", ("t",) + ANGLE_NAMES,
+        _check_finite("angle series", _ANGLE_COLUMNS,
                       np.column_stack([self.t, self.angles]))
 
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return AngleSeries(self.t[key], self.angles[key], self.meta)
-        r, p, y = self.angles[key]
-        return EulerAngles(float(r), float(p), float(y))
+    def __getitem__(self, key: slice) -> "AngleSeries":
+        """A sub-series; there is no per-sample view, so only slices are taken."""
+        _check_slice(key)
+        return AngleSeries(self.t[key], self.angles[key], self.meta)
+
+    __iter__ = None
 
     def angle(self, angle_id) -> np.ndarray:
         """The 1-D track of one angle, selected by name or index."""

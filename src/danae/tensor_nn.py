@@ -99,7 +99,6 @@ class ConvSpec:
     out_channels: int
     kernel_size: int = 3
     dilation: int = 1
-    stride: int = 1
     padding: int = 0
     transposed: bool = False
 
@@ -110,8 +109,6 @@ class ConvSpec:
             raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
         if self.dilation < 1:
             raise ConfigError(f"dilation must be >= 1, got {self.dilation}")
-        if self.stride != 1:
-            raise ConfigError("only stride 1 is supported")
         if self.padding < 0:
             raise ConfigError(f"padding must be >= 0, got {self.padding}")
 
@@ -369,6 +366,13 @@ def backward(root: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # optimizer
 
+# Adam's decay rates and denominator guard: the published defaults, which
+# DANAE trains with; only the learning rate is a setting
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment buffers, aligned index-for-index with a parameter list."""
@@ -377,9 +381,6 @@ class AdamState:
     v: list = field(default_factory=list)
     step_count: int = 0
     lr: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params, lr: float = 0.002) -> "AdamState":
@@ -395,8 +396,8 @@ def adam_step(params, grads, state: AdamState):
     if not (len(params) == len(grads) == len(state.m) == len(state.v)):
         raise ShapeError("params, grads and Adam buffers must align")
     state.step_count += 1
-    c1 = 1.0 - state.beta1 ** state.step_count
-    c2 = 1.0 - state.beta2 ** state.step_count
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
     # every intermediate goes to one scratch buffer that is freed on return
     scratch = np.empty(max((p.data.size for p in params), default=0))
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -404,12 +405,12 @@ def adam_step(params, grads, state: AdamState):
         if g.shape != p.data.shape:
             raise ShapeError(f"grad shape {g.shape} vs param shape {p.data.shape}")
         t = scratch[:g.size].reshape(g.shape)
-        m *= state.beta1
-        m += np.multiply(1.0 - state.beta1, g, out=t)
-        v *= state.beta2
-        v += np.multiply(1.0 - state.beta2, np.square(g, out=t), out=t)
+        m *= ADAM_BETA1
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=t)
+        v *= ADAM_BETA2
+        v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=t), out=t)
         np.sqrt(np.divide(v, c2, out=t), out=t)
-        t += state.eps
+        t += ADAM_EPS
         np.divide(m, t, out=t)
         p.data -= np.multiply(state.lr / c1, t, out=t)
     return params, state

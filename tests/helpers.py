@@ -153,6 +153,10 @@ def corrupt_checkpoints(good_path, out_dir):
         "std3_activated": ({**meta, "layers": changed("std3", activate=True)}, arrays),
         # a channel count no layer has, so loading must not size anything by it
         "channels_too_wide": ({**meta, "channels": 100000}, arrays),
+        # angles that are neither null nor a name; 1.7 must not be taken as pitch
+        "angle_list": ({**meta, "angle": [1]}, arrays),
+        "angle_number": ({**meta, "angle": 1.7}, arrays),
+        "angle_unknown": ({**meta, "angle": "heading"}, arrays),
     }
     for case, (case_meta, case_arrays) in models.items():
         path = Path(out_dir) / f"{case}.ckpt"

@@ -75,6 +75,13 @@ class TestSynth:
                    "--seed", "7") == 0
         assert json.loads((flag_dir / "manifest.json").read_text())["seed"] == 7
 
+    def test_negative_env_seed_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DANAE_SEED", "-1")
+        for command, duration in (("synth", "1"), ("pipeline", "6")):
+            out = tmp_path / command
+            assert run(command, "--out-dir", out, "--duration", duration) == 2
+            assert not out.exists()
+
 
 class TestKf:
     def test_noiseless_run_matches_ground_truth(self, tmp_path):
@@ -167,6 +174,16 @@ class TestTrain:
                    "--angle", "roll", "--epochs", "1", "--lr", "nan",
                    "--out", out) == 2
         assert not out.exists()
+
+    # numpy warns of the overflow on its way to the NaN loss
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_exits_4_before_saving(self, trained, tmp_path, caplog):
+        out = tmp_path / "m.ckpt"
+        assert run("train", "--kf", trained["kf"], "--gt", trained["gt"],
+                   "--angle", "roll", "--epochs", "2", "--lr", "1e200", "--stride", "5",
+                   "--out", out) == 4
+        assert "diverged: epoch 1" in caplog.text
+        assert not out.exists() and not Path(f"{out}.loss.csv").exists()
 
     def test_same_seed_identical_checkpoints(self, trained, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
@@ -276,8 +293,9 @@ class TestPipeline:
         ("--angles", "roll,roll"), ("--lr", "nan"), ("--lr", "-5"), ("--lr", "0"),
         # 30 samples: 24 to train on, 6 to denoise, fewer than one window
         ("--duration", "0.3", "--angles", "roll", "--epochs", "1"),
+        ("--seed", "-1"),
     ], ids=["stride_0", "epochs_0", "no_angle", "angle_twice", "lr_nan", "lr_negative",
-            "lr_0", "test_split_short"])
+            "lr_0", "test_split_short", "seed_negative"])
     def test_bad_setting_exits_2_before_synth(self, tmp_path, flags):
         out = tmp_path / "x"
         assert run("pipeline", "--out-dir", out, "--duration", "6", *flags) == 2
@@ -303,6 +321,7 @@ _BROKEN_SYNTH = {
     "synth_config_not_utf8": (b"duration=3\n\xff\n", [], "bad.cfg:2: byte 0xff is not UTF-8"),
     "synth_infinite_duration": (b"", ["--duration", "inf"], "duration must be finite"),
     "synth_nan_gyro_noise": (b"", ["--gyro-noise", "nan"], "gyro_noise must be finite"),
+    "synth_negative_seed": (b"", ["--seed", "-1"], "seed must be >= 0, got -1"),
 }
 
 
@@ -333,6 +352,9 @@ def _broken_run(case, scenario, tmp):
         return (["train", "--kf", _write(tmp / "kf.csv", lines), "--gt", gt,
                  "--angle", "roll", "--epochs", "1", "--out", tmp / "m.ckpt"],
                 3, "timestamps not strictly increasing at data row 9")
+    if case == "train_negative_seed":
+        return (["train", "--kf", gt, "--gt", gt, "--angle", "roll", "--seed", "-1",
+                 "--out", tmp / "m.ckpt"], 2, "seed must be >= 0, got -1")
     if case == "eval":
         short = _write(tmp / "short.csv", _lines(gt)[:-10])
         return (["eval", "--kf", gt, "--danae", short, "--gt", gt], 3,
@@ -342,8 +364,8 @@ def _broken_run(case, scenario, tmp):
             2, "lr")
 
 
-@pytest.mark.parametrize("case", [*_BROKEN_SYNTH, "kf", "kf_not_utf8", "train", "eval",
-                                  "pipeline"])
+@pytest.mark.parametrize("case", [*_BROKEN_SYNTH, "kf", "kf_not_utf8", "train",
+                                  "train_negative_seed", "eval", "pipeline"])
 def test_broken_input_exits_cleanly(synth_dir, tmp_path, case):
     argv, code, message = _broken_run(case, synth_dir, tmp_path)
     proc = run_fresh(*argv)

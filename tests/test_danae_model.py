@@ -21,7 +21,7 @@ from danae.danae_model import (
     train,
 )
 from danae.dataio import SynthConfig, WindowSet, make_windows, synth_trajectory
-from danae.errors import ConfigError, InvalidInputError, ShapeError
+from danae.errors import ConfigError, InvalidInputError, NumericalError, ShapeError
 from danae.series import AngleSeries
 from danae.tensor_nn import ConvSpec, Tensor, l2_loss, read_checkpoint, write_checkpoint
 
@@ -121,13 +121,13 @@ def _toy_windows(rng, count=24, length=20, noise=0.0):
     shifts = rng.uniform(-0.2, 0.2, size=(count, 1))
     targets = targets + shifts
     inputs = targets + noise * rng.normal(size=(count, length))
-    return WindowSet(inputs, targets, "roll")
+    return WindowSet(inputs, targets)
 
 
 class TestTrain:
     def test_empty_window_set_rejected(self):
         model = build_model(0, channels=4)
-        empty = WindowSet(np.empty((0, 20)), np.empty((0, 20)), "roll")
+        empty = WindowSet(np.empty((0, 20)), np.empty((0, 20)))
         with pytest.raises(InvalidInputError):
             train(model, empty, TrainConfig(epochs=1))
 
@@ -155,7 +155,7 @@ class TestTrain:
         # one repeated window, 200 optimizer steps -> loss below 1e-3
         rng = np.random.default_rng(33)
         window = 0.3 * np.sin(np.linspace(0, 3.0, 20))[None, :]
-        windows = WindowSet(window, window, "roll")
+        windows = WindowSet(window, window)
         model = build_model(4)
         history = train(model, windows, TrainConfig(epochs=200, seed=0))
         assert history[-1] < 1e-3
@@ -167,9 +167,18 @@ class TestTrain:
         h2 = train(build_model(9, channels=8), windows, TrainConfig(epochs=4, seed=5))
         assert h1 == h2
 
+    def test_divergence_raises_naming_the_epoch(self):
+        # at lr 1e200 the first Adam step throws the weights past float range;
+        # train used to return [nan, nan] here
+        rng = np.random.default_rng(35)
+        with np.errstate(all="ignore"), \
+                pytest.raises(NumericalError, match="diverged: epoch 1's mean loss is nan"):
+            train(build_model(0, channels=4), _toy_windows(rng),
+                  TrainConfig(epochs=2, lr=1e200))
+
     def test_window_length_mismatch_rejected(self):
         model = build_model(0, channels=4)
-        bad = WindowSet(np.zeros((4, 10)), np.zeros((4, 10)), "roll")
+        bad = WindowSet(np.zeros((4, 10)), np.zeros((4, 10)))
         with pytest.raises(ShapeError):
             train(model, bad, TrainConfig(epochs=1))
 
@@ -322,6 +331,11 @@ class TestSaveLoad:
                              np.random.default_rng(5).normal(size=(n, 3)) * 0.2)
         assert np.array_equal(denoise_series(model, series, "roll").roll,
                               denoise_series(loaded, series, "roll").roll)
+
+    def test_angle_recorded_by_name(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_model(path, build_model(0, channels=4), angle_id=1)
+        assert load_model(path)[1]["angle"] == "pitch"
 
     def test_wrong_kind_rejected(self, tmp_path):
         from danae.tensor_nn import write_checkpoint

@@ -24,7 +24,7 @@ from danae.dataio import (
 )
 from danae.errors import ConfigError, DataError, InvalidInputError
 from danae.evalkit import deviations
-from danae.series import AngleSeries, EulerAngles, ImuSeries
+from danae.series import AngleSeries, EulerAngles, ImuSeries, angle_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -413,6 +413,20 @@ class TestSeriesTypes:
         t[5] = np.nan
         with pytest.raises(InvalidInputError, match=r"holds nan in t at sample 5$"):
             AngleSeries(t, np.zeros((30, 3)))
+
+    def test_series_take_slices_only(self):
+        imu, gt = synth_trajectory(SynthConfig(duration=1.0, seed=6))
+        assert len(imu[2:5]) == len(gt[2:5]) == 3
+        for series in (imu, gt):
+            with pytest.raises(TypeError, match="slices only"):
+                series[0]
+            with pytest.raises(TypeError):
+                iter(series)
+
+    @pytest.mark.parametrize("angle_id", [1.7, True, [1], {}, None, "heading", 3, -1])
+    def test_angle_index_rejects_anything_else(self, angle_id):
+        with pytest.raises(InvalidInputError):
+            angle_index(angle_id)
 
     def test_euler_angles_wrapping(self):
         e = EulerAngles(3 * math.pi, 0.2, -3 * math.pi / 2).wrapped()

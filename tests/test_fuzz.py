@@ -1,6 +1,6 @@
-"""Property tests: the file readers let only DanaeError subclasses escape,
-whatever bytes or text they are given, so the CLI maps every bad file to an
-exit code instead of a traceback.
+"""Property tests: the file readers and the dataset loaders let only
+DanaeError subclasses escape, whatever bytes or text they are given, so the
+CLI maps every bad file to an exit code instead of a traceback.
 
 hypothesis is a test-only dependency; without it this module is skipped and
 the package still needs numpy alone.
@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from danae.danae_model import build_model, load_model, save_model  # noqa: E402
-from danae.dataio import read_angle_csv, read_imu_csv, read_table  # noqa: E402
+from danae.dataio import (load_oxiod, load_ucs, read_angle_csv, read_imu_csv,  # noqa: E402
+                          read_table)
 from danae.errors import DanaeError  # noqa: E402
 from danae.tensor_nn import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, read_checkpoint  # noqa: E402
 
@@ -97,8 +98,13 @@ _CSV_TEXT = st.one_of(st.text(max_size=200),
 
 @FUZZ
 @given(text=_CSV_TEXT)
+# one UCS row (a series needs two samples), and two with a zero magnetometer
+@example(text="0" + ",0" * 12 + "\n")
+@example(text="0" + ",1" * 12 + "\n1" + ",0" * 12 + "\n")
 def test_table_from_arbitrary_text(input_file, text):
     input_file.write_text(text, encoding="utf-8", newline="")
     _only_danae_errors(read_table, input_file)
     _only_danae_errors(read_angle_csv, input_file)
     _only_danae_errors(read_imu_csv, input_file)
+    _only_danae_errors(load_ucs, input_file)
+    _only_danae_errors(lambda path: load_oxiod(path, path), input_file)

@@ -106,7 +106,7 @@ class TestConv1d:
             ConvSpec(1, 1, 4)  # even kernel
         with pytest.raises(ConfigError):
             ConvSpec(1, 1, 3, dilation=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(TypeError):
             ConvSpec(1, 1, 3, stride=2)
 
 
