@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalError, ShapeError
+from .errors import DanaeError, InvalidInputError, NumericalError, ShapeError
 from .series import AngleSeries, ImuSeries, wrap_angle
 
 __all__ = [
@@ -80,18 +80,71 @@ class KfState:
             raise ShapeError(f"P must be ({n}, {n}), got {self.P.shape}")
 
 
+# measurement faults, one code per row (0 for a usable row); a row with more
+# than one reports the first in this order: accel, then mag, then the field
+_ZERO_ACCEL, _ZERO_MAG, _VERTICAL_FIELD = 1, 2, 3
+_FAULTS = {
+    _ZERO_ACCEL: (InvalidInputError, "accelerometer reading has zero magnitude"),
+    _ZERO_MAG: (InvalidInputError, "magnetometer reading has zero magnitude"),
+    _VERTICAL_FIELD: (NumericalError, "magnetic field is vertical: heading is undefined"),
+}
+
+
+def _fault_error(code) -> DanaeError:
+    error, message = _FAULTS[int(code)]
+    return error(message)
+
+
+def _raise_first_fault(fault: np.ndarray) -> None:
+    bad = np.flatnonzero(fault)
+    if bad.size:
+        raise _fault_error(fault[bad[0]])
+
+
+def _tilt(accel: np.ndarray):
+    """Roll, pitch and fault code of each (N, 3) specific-force row.
+
+    A row whose magnitude is not > 0 (zero, or NaN) is a fault. Huge or NaN
+    readings raise no numpy warning; the fault code is their only report.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = ~(np.linalg.norm(accel, axis=1) > 0.0)
+        roll = wrap_angle(np.arctan2(accel[:, 1], accel[:, 2]))
+        pitch = np.arctan2(-accel[:, 0], np.hypot(accel[:, 1], accel[:, 2]))
+    return roll, pitch, np.where(zero, _ZERO_ACCEL, 0)
+
+
+def _heading(mag: np.ndarray, roll: np.ndarray, pitch: np.ndarray):
+    """Tilt-compensated yaw and fault code of each (N, 3) field row."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = ~(np.linalg.norm(mag, axis=1) > 0.0)
+        sr, cr = np.sin(roll), np.cos(roll)
+        sp, cp = np.sin(pitch), np.cos(pitch)
+        mx = mag[:, 0] * cp + mag[:, 1] * sp * sr + mag[:, 2] * sp * cr
+        my = mag[:, 1] * cr - mag[:, 2] * sr
+        vertical = np.hypot(mx, my) < MIN_HORIZONTAL_MAG
+        yaw = wrap_angle(np.arctan2(-my, mx))
+    return yaw, np.where(zero, _ZERO_MAG, np.where(vertical, _VERTICAL_FIELD, 0))
+
+
+def _measure_rows(accel: np.ndarray, mag: np.ndarray):
+    """The accel/mag measurement model on (N, 3) rows: (roll, pitch, yaw)
+    rows and one fault code per row, 0 where the row is usable."""
+    roll, pitch, tilt_fault = _tilt(accel)
+    yaw, heading_fault = _heading(mag, roll, pitch)
+    return (np.column_stack([roll, pitch, yaw]),
+            np.where(tilt_fault > 0, tilt_fault, heading_fault))
+
+
 def accel_to_roll_pitch(accel) -> tuple[float, float]:
     """Gravity-tilt angles from a specific-force reading.
 
     roll = atan2(a_y, a_z), pitch = atan2(-a_x, sqrt(a_y^2 + a_z^2)).
     Assumes the reaction convention: a level sensor reads (0, 0, +g).
     """
-    a = np.asarray(accel, dtype=float).reshape(3)
-    if not np.linalg.norm(a) > 0.0:
-        raise InvalidInputError("accelerometer reading has zero magnitude")
-    roll = math.atan2(a[1], a[2])
-    pitch = math.atan2(-a[0], math.hypot(a[1], a[2]))
-    return float(wrap_angle(roll)), pitch
+    roll, pitch, fault = _tilt(np.asarray(accel, dtype=float).reshape(1, 3))
+    _raise_first_fault(fault)
+    return float(roll[0]), float(pitch[0])
 
 
 def mag_to_yaw(mag, roll: float, pitch: float) -> float:
@@ -100,16 +153,11 @@ def mag_to_yaw(mag, roll: float, pitch: float) -> float:
     The field vector is de-rotated by roll and pitch into the horizontal
     plane, then yaw = atan2(-m_y, m_x) of the horizontal components.
     """
-    m = np.asarray(mag, dtype=float).reshape(3)
-    if not np.linalg.norm(m) > 0.0:
-        raise InvalidInputError("magnetometer reading has zero magnitude")
-    sr, cr = math.sin(roll), math.cos(roll)
-    sp, cp = math.sin(pitch), math.cos(pitch)
-    mx = m[0] * cp + m[1] * sp * sr + m[2] * sp * cr
-    my = m[1] * cr - m[2] * sr
-    if math.hypot(mx, my) < MIN_HORIZONTAL_MAG:
-        raise NumericalError("magnetic field is vertical: heading is undefined")
-    return float(wrap_angle(math.atan2(-my, mx)))
+    yaw, fault = _heading(np.asarray(mag, dtype=float).reshape(1, 3),
+                          np.asarray(roll, dtype=float).reshape(1),
+                          np.asarray(pitch, dtype=float).reshape(1))
+    _raise_first_fault(fault)
+    return float(yaw[0])
 
 
 def euler_rate_matrix(roll: float, pitch: float) -> np.ndarray:
@@ -134,38 +182,59 @@ def gyro_delta(gyro, roll: float, pitch: float, dt: float) -> np.ndarray:
     return euler_rate_matrix(roll, pitch) @ w * dt
 
 
+# kf_step's (K, P) by the bytes of (A, C, Q, R, P), oldest first; see _gain
+_GAIN_MEMO_SIZE = 256
+_gain_memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _gain(cfg: KfConfig, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gain K and posterior covariance for the prior covariance P: the part
+    of kf_step that never reads u or y.
+
+    With a fixed model the recursion visits few distinct P, so results are
+    memoised by the bytes of (A, C, Q, R, P), at most _GAIN_MEMO_SIZE of
+    them, the oldest evicted first. A failure is not stored: it raises again
+    on every call. The returned P is the caller's own copy.
+    """
+    key = (cfg.A.tobytes() + cfg.C.tobytes() + cfg.Q.tobytes() + cfg.R.tobytes()
+           + P.tobytes())
+    hit = _gain_memo.get(key)
+    if hit is None:
+        P_pred = cfg.A @ P @ cfg.A.T + cfg.Q
+        S = cfg.C @ P_pred @ cfg.C.T + cfg.R
+        with np.errstate(all="ignore"):  # np.linalg.cond's value: inf for a singular S
+            s = np.linalg.svd(S, compute_uv=False)
+            cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+        if not np.isfinite(cond) or cond > MAX_INNOVATION_COND:
+            raise NumericalError(
+                f"innovation covariance is not invertible (condition number {cond:.3e})"
+            )
+        # K = P'C^T S^-1 solved as S^T K^T = C P'^T, avoiding an explicit inverse
+        K = np.linalg.solve(S.T, cfg.C @ P_pred.T).T
+        P_new = (np.eye(cfg.n) - K @ cfg.C) @ P_pred
+        P_new = 0.5 * (P_new + P_new.T)
+        K.flags.writeable = P_new.flags.writeable = False
+        if len(_gain_memo) >= _GAIN_MEMO_SIZE:
+            del _gain_memo[next(iter(_gain_memo))]
+        hit = _gain_memo[key] = (K, P_new)
+    K, P_new = hit
+    return K, P_new.copy()
+
+
 def kf_step(state: KfState, cfg: KfConfig, u, y) -> KfState:
     """One predict/update cycle; returns the new posterior.
 
     x' = Ax + Bu, P' = APA^T + Q, K = P'C^T (CP'C^T + R)^-1,
     x = x' + K(y - Cx'), P = (I - KC)P' with P symmetrized.
+    K and P do not depend on u or y, and are memoised (see _gain).
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if u.shape[0] != cfg.n or y.shape[0] != cfg.n:
         raise ShapeError(f"u and y must have dimension {cfg.n}")
     x_pred = cfg.A @ state.x + cfg.B @ u
-    P_pred = cfg.A @ state.P @ cfg.A.T + cfg.Q
-    S = cfg.C @ P_pred @ cfg.C.T + cfg.R
-    with np.errstate(all="ignore"):  # np.linalg.cond's value: inf for a singular S
-        s = np.linalg.svd(S, compute_uv=False)
-        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > MAX_INNOVATION_COND:
-        raise NumericalError(
-            f"innovation covariance is not invertible (condition number {cond:.3e})"
-        )
-    # K = P'C^T S^-1 solved as S^T K^T = C P'^T, avoiding an explicit inverse
-    K = np.linalg.solve(S.T, cfg.C @ P_pred.T).T
-    x_new = x_pred + K @ (y - cfg.C @ x_pred)
-    P_new = (np.eye(cfg.n) - K @ cfg.C) @ P_pred
-    P_new = 0.5 * (P_new + P_new.T)
-    return KfState(x_new, P_new)
-
-
-def _measure(accel, mag):
-    roll, pitch = accel_to_roll_pitch(accel)
-    yaw = mag_to_yaw(mag, roll, pitch)
-    return np.array([roll, pitch, yaw])
+    K, P_new = _gain(cfg, state.P)
+    return KfState(x_pred + K @ (y - cfg.C @ x_pred), P_new)
 
 
 def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
@@ -187,24 +256,24 @@ def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
     if len(series) < 2:
         raise InvalidInputError("run_kf needs at least 2 samples")
     series.check_finite()
+    measured, fault = _measure_rows(series.accel, series.mag)
+    _raise_first_fault(fault[:1])
 
     out = np.empty((len(series), 3))
-    state = KfState(_measure(series.accel[0], series.mag[0]), cfg.P0.copy())
+    state = KfState(measured[0], cfg.P0.copy())
     out[0] = state.x
-    for i in range(1, len(series)):
-        dt = series.t[i] - series.t[i - 1]
+    steps = zip(np.diff(series.t).tolist(), fault.tolist()[1:])
+    for i, (dt, code) in enumerate(steps, start=1):
         u = gyro_delta(series.gyro[i], state.x[0], state.x[1], dt)
         x_pred = cfg.A @ state.x + cfg.B @ u
-        try:
-            y = _measure(series.accel[i], series.mag[i])
-        except (InvalidInputError, NumericalError) as err:
-            log.warning("sample %d: %s; skipping measurement update", i, err)
+        if code:
+            log.warning("sample %d: %s; skipping measurement update", i, _fault_error(code))
             P_pred = cfg.A @ state.P @ cfg.A.T + cfg.Q
             state = KfState(x_pred, 0.5 * (P_pred + P_pred.T))
         else:
             # the update goes through the public kf_step (which repeats the state
             # prediction), so kf_step runs exactly once per measurement update
-            y = cfg.C @ x_pred + wrap_angle(y - cfg.C @ x_pred)
+            y = cfg.C @ x_pred + wrap_angle(measured[i] - cfg.C @ x_pred)
             state = kf_step(state, cfg, u, y)
         out[i] = state.x
     return AngleSeries(series.t.copy(), out, {"estimator": "kf"})
@@ -216,7 +285,9 @@ def integrate_gyro(series: ImuSeries) -> AngleSeries:
     if len(series) < 2:
         raise InvalidInputError("integrate_gyro needs at least 2 samples")
     series.check_finite()
-    x = _measure(series.accel[0], series.mag[0])
+    measured, fault = _measure_rows(series.accel[:1], series.mag[:1])
+    _raise_first_fault(fault)
+    x = measured[0]
     out = np.empty((len(series), 3))
     out[0] = x
     for i in range(1, len(series)):
@@ -229,7 +300,6 @@ def integrate_gyro(series: ImuSeries) -> AngleSeries:
 def measurement_angles(series: ImuSeries) -> AngleSeries:
     """Raw accel/mag baseline: per-sample gravity-tilt and compass angles."""
     series.check_finite()
-    out = np.empty((len(series), 3))
-    for i in range(len(series)):
-        out[i] = _measure(series.accel[i], series.mag[i])
-    return AngleSeries(series.t.copy(), out, {"estimator": "measurement"})
+    measured, fault = _measure_rows(series.accel, series.mag)
+    _raise_first_fault(fault)
+    return AngleSeries(series.t.copy(), measured, {"estimator": "measurement"})

@@ -20,6 +20,7 @@ leaky rectifier; the final conv is linear because angles are unbounded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -135,10 +136,18 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
+
+
+def _check_seed(seed) -> None:
+    """Reject a seed np.random.default_rng would refuse: only an integer >= 0
+    draws weights or batch orders."""
+    if not isinstance(seed, numbers.Integral):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
 
 def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
@@ -169,8 +178,10 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
     """Construct the denoiser with seed-determined initial weights.
 
     Weights are drawn in forward-execution order from one generator, so a
-    seed pins every parameter bit-for-bit.
+    seed pins every parameter bit-for-bit. A seed that is not an integer
+    >= 0 raises ConfigError.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     layers = []
     for _, spec, activate in _architecture(channels):
@@ -231,24 +242,27 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
     rng = np.random.default_rng(cfg.seed)
     count = len(windows)
     history = []
-    for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(count)
-        total = 0.0
-        for start in range(0, count, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            # batches run channel-first with a trailing batch axis: (1, L, b)
-            x = Tensor(windows.inputs[batch].T[None, :, :])
-            target = windows.targets[batch].T[None, :, :]
-            model.zero_grad()
-            loss = l2_loss(_run(model, x), target)
-            backward(loss)
-            adam_step(params, [p.grad for p in params], state)
-            total += loss.item() * len(batch)
-        mean = total / count
-        if not math.isfinite(mean):
-            raise NumericalError(f"training diverged: epoch {epoch}'s mean loss is {mean} "
-                                 f"(learning rate {cfg.lr})")
-        history.append(mean)
+    # diverging weights overflow on their way to a NaN loss; the finite-loss
+    # check reports that once, where numpy's warnings would read like a crash
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(count)
+            total = 0.0
+            for start in range(0, count, cfg.batch_size):
+                batch = order[start:start + cfg.batch_size]
+                # batches run channel-first with a trailing batch axis: (1, L, b)
+                x = Tensor(windows.inputs[batch].T[None, :, :])
+                target = windows.targets[batch].T[None, :, :]
+                model.zero_grad()
+                loss = l2_loss(_run(model, x), target)
+                backward(loss)
+                adam_step(params, [p.grad for p in params], state)
+                total += loss.item() * len(batch)
+            mean = total / count
+            if not math.isfinite(mean):
+                raise NumericalError(f"training diverged: epoch {epoch}'s mean loss is {mean} "
+                                     f"(learning rate {cfg.lr})")
+            history.append(mean)
     return history
 
 

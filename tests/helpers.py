@@ -2,17 +2,20 @@
 
 These deliberately avoid the library's code paths: the Kalman reference
 inverts matrices by adjugate/cofactor expansion instead of linear solves,
-and the convolution reference is a direct triple loop over channels and
-taps. The checkpoint builders at the end feed the loaders' error
-tests.
+the filter reference runs the measurement model and gyro kinematics one
+sample at a time in scalar `math`, and the convolution reference is a
+direct triple loop over channels and taps. The checkpoint builders at the
+end feed the loaders' error tests.
 """
 
 import json
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from danae.attitude_kf import MIN_HORIZONTAL_MAG
 from danae.errors import ConfigError, DataError
 from danae.tensor_nn import CHECKPOINT_MAGIC, read_checkpoint, write_checkpoint
 
@@ -47,6 +50,65 @@ def kf_step_reference(x, P, A, B, C, Q, R, u, y):
     x_new = x_pred + K @ (y - C @ x_pred)
     P_new = (np.eye(len(x)) - K @ C) @ P_pred
     return x_new, P_new
+
+
+def wrap_reference(angle):
+    """An angle moved by whole turns into (-pi, pi]."""
+    return angle - 2.0 * math.pi * math.ceil((angle - math.pi) / (2.0 * math.pi))
+
+
+def measure_reference(accel, mag):
+    """Gravity-tilt roll and pitch plus tilt-compensated yaw of one sample in
+    scalar math, or None where the reading is degenerate."""
+    ax, ay, az = (float(v) for v in accel)
+    mx0, my0, mz0 = (float(v) for v in mag)
+    if not math.sqrt(ax * ax + ay * ay + az * az) > 0.0:
+        return None
+    if not math.sqrt(mx0 * mx0 + my0 * my0 + mz0 * mz0) > 0.0:
+        return None
+    roll = wrap_reference(math.atan2(ay, az))
+    pitch = math.atan2(-ax, math.hypot(ay, az))
+    sr, cr, sp, cp = math.sin(roll), math.cos(roll), math.sin(pitch), math.cos(pitch)
+    mx = mx0 * cp + my0 * sp * sr + mz0 * sp * cr
+    my = my0 * cr - mz0 * sr
+    if math.hypot(mx, my) < MIN_HORIZONTAL_MAG:
+        return None
+    return np.array([roll, pitch, wrap_reference(math.atan2(-my, mx))])
+
+
+def run_kf_reference(imu, cfg):
+    """The attitude filter as a literal per-sample loop.
+
+    Sample 0 is its own measurement. Each later sample integrates the Euler
+    kinematics of the body rates over dt, then either updates through
+    kf_step_reference, with the measurement moved by whole turns next to the
+    prediction, or, on a degenerate reading, keeps the prediction. Returns
+    the (N, 3) estimates and the predict-only sample indices.
+    """
+    out = np.empty((len(imu), 3))
+    x, P = measure_reference(imu.accel[0], imu.mag[0]), cfg.P0
+    out[0] = x
+    predict_only = []
+    for i in range(1, len(imu)):
+        dt = imu.t[i] - imu.t[i - 1]
+        p, q, r = (float(v) for v in imu.gyro[i])
+        sr, cr = math.sin(x[0]), math.cos(x[0])
+        tp, cp = math.tan(x[1]), math.cos(x[1])
+        u = dt * np.array([p + sr * tp * q + cr * tp * r,
+                           cr * q - sr * r,
+                           sr / cp * q + cr / cp * r])
+        y = measure_reference(imu.accel[i], imu.mag[i])
+        if y is None:
+            predict_only.append(i)
+            x, P = cfg.A @ x + cfg.B @ u, cfg.A @ P @ cfg.A.T + cfg.Q
+        else:
+            x_pred = cfg.A @ x + cfg.B @ u
+            y = y + np.array([2.0 * math.pi * round((pred - meas) / (2.0 * math.pi))
+                              for pred, meas in zip(cfg.C @ x_pred, y)])
+            x, P = kf_step_reference(x, P, cfg.A, cfg.B, cfg.C, cfg.Q, cfg.R, u, y)
+        P = 0.5 * (P + P.T)
+        out[i] = x
+    return out, predict_only
 
 
 def conv1d_reference(x, w, bias, padding, dilation):

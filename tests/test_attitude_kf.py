@@ -1,10 +1,12 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import danae.attitude_kf as attitude_kf
 from danae.attitude_kf import (
     KfConfig,
     KfState,
@@ -16,12 +18,14 @@ from danae.attitude_kf import (
     measurement_angles,
     run_kf,
 )
-from danae.dataio import SynthConfig, synth_trajectory
+from danae.dataio import SynthConfig, load_oxiod, load_ucs, synth_trajectory
 from danae.errors import InvalidInputError, NumericalError
 from danae.evalkit import deviations
 from danae.series import ImuSeries
 
-from helpers import kf_step_reference, random_spd
+from helpers import kf_step_reference, measure_reference, random_spd, run_kf_reference
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 class TestAccelToRollPitch:
@@ -95,6 +99,20 @@ class TestGyroDelta:
             gyro_delta((0.0, 0.0, 0.0), 0.0, 0.0, 0.0)
 
 
+def _random_problems(count=200):
+    """(cfg, x, P, u, y) for random 1- to 3-state models, seeded."""
+    rng = np.random.default_rng(2024)
+    for _ in range(count):
+        n = int(rng.integers(1, 4))
+        A = rng.normal(size=(n, n))
+        B = rng.normal(size=(n, n))
+        C = rng.normal(size=(n, n))
+        cfg = KfConfig(n=n, A=A, B=B, C=C, Q=random_spd(rng, n),
+                       R=random_spd(rng, n), P0=np.eye(n))
+        yield (cfg, rng.normal(size=n), random_spd(rng, n), rng.normal(size=n),
+               rng.normal(size=n))
+
+
 class TestKfStep:
     def test_scalar_hand_example(self):
         # A=B=C=Q=R=1, x=0, P=1, u=0, y=1: P'=2, K=2/3, x=2/3, P=2/3
@@ -116,20 +134,9 @@ class TestKfStep:
         assert new.x[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_adjugate_reference(self):
-        rng = np.random.default_rng(2024)
-        for trial in range(200):
-            n = int(rng.integers(1, 4))
-            A = rng.normal(size=(n, n))
-            B = rng.normal(size=(n, n))
-            C = rng.normal(size=(n, n))
-            cfg = KfConfig(n=n, A=A, B=B, C=C, Q=random_spd(rng, n),
-                           R=random_spd(rng, n), P0=np.eye(n))
-            x = rng.normal(size=n)
-            P = random_spd(rng, n)
-            u = rng.normal(size=n)
-            y = rng.normal(size=n)
+        for cfg, x, P, u, y in _random_problems():
             got = kf_step(KfState(x, P), cfg, u, y)
-            want_x, want_P = kf_step_reference(x, P, A, B, C, cfg.Q, cfg.R, u, y)
+            want_x, want_P = kf_step_reference(x, P, cfg.A, cfg.B, cfg.C, cfg.Q, cfg.R, u, y)
             assert np.max(np.abs(got.x - want_x)) < 1e-10
             assert np.max(np.abs(got.P - 0.5 * (want_P + want_P.T))) < 1e-10
 
@@ -282,3 +289,162 @@ class TestConfigValidation:
         r[1, 1] = -1.0
         with pytest.raises(InvalidInputError):
             KfConfig(R=r)
+
+
+def _unmemoised_kf_step(state, cfg, u, y):
+    """kf_step with the gain computed on every call, expression for expression."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    x_pred = cfg.A @ state.x + cfg.B @ u
+    P_pred = cfg.A @ state.P @ cfg.A.T + cfg.Q
+    S = cfg.C @ P_pred @ cfg.C.T + cfg.R
+    K = np.linalg.solve(S.T, cfg.C @ P_pred.T).T
+    x_new = x_pred + K @ (y - cfg.C @ x_pred)
+    P_new = (np.eye(cfg.n) - K @ cfg.C) @ P_pred
+    return x_new, 0.5 * (P_new + P_new.T)
+
+
+class TestGainMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(attitude_kf, "_gain_memo", {})
+
+    def test_hits_and_misses_match_the_unmemoised_step_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        for count, (cfg, x, P, u, y) in enumerate(_random_problems(), start=1):
+            for u, y in ((u, y), (rng.normal(size=cfg.n), rng.normal(size=cfg.n))):
+                got = kf_step(KfState(x, P), cfg, u, y)
+                want_x, want_P = _unmemoised_kf_step(KfState(x, P), cfg, u, y)
+                assert np.array_equal(got.x, want_x) and np.array_equal(got.P, want_P)
+            # the second call was a hit: one entry per problem
+            assert len(attitude_kf._gain_memo) == min(count, attitude_kf._GAIN_MEMO_SIZE)
+
+    def test_memo_never_exceeds_its_bound(self):
+        rng = np.random.default_rng(10)
+        cfg = KfConfig()
+        for _ in range(attitude_kf._GAIN_MEMO_SIZE + 50):
+            kf_step(KfState(np.zeros(3), random_spd(rng, 3)), cfg, np.zeros(3), np.ones(3))
+            assert len(attitude_kf._gain_memo) <= attitude_kf._GAIN_MEMO_SIZE
+        assert len(attitude_kf._gain_memo) == attitude_kf._GAIN_MEMO_SIZE
+
+    def test_r_changed_in_place_changes_the_gain(self):
+        cfg = KfConfig()
+        state = KfState(np.zeros(3), np.eye(3))
+        before = kf_step(state, cfg, np.zeros(3), np.ones(3))
+        cfg.R[:] = 4.0 * np.eye(3)
+        after = kf_step(state, cfg, np.zeros(3), np.ones(3))
+        fresh = kf_step(state, KfConfig(R=4.0 * np.eye(3)), np.zeros(3), np.ones(3))
+        assert not np.allclose(after.x, before.x)
+        assert np.array_equal(after.x, fresh.x) and np.array_equal(after.P, fresh.P)
+
+    def test_mutating_a_returned_covariance_leaves_the_memo_alone(self):
+        cfg = KfConfig()
+        state = KfState(np.zeros(3), np.eye(3))
+        first = kf_step(state, cfg, np.zeros(3), np.ones(3))
+        want = first.P.copy()
+        first.P[:] = 99.0
+        again = kf_step(state, cfg, np.zeros(3), np.ones(3))
+        assert np.array_equal(again.P, want) and np.array_equal(again.x, first.x)
+
+    def test_singular_innovation_raises_on_every_call(self):
+        cfg = KfConfig.__new__(KfConfig)  # bypass validation to force Q=R=0
+        cfg.n = 1
+        cfg.A = cfg.B = cfg.C = np.zeros((1, 1))
+        cfg.Q = cfg.R = cfg.P0 = np.zeros((1, 1))
+        for _ in range(3):
+            with pytest.raises(NumericalError, match=r"condition number inf"):
+                kf_step(KfState(np.zeros(1), np.zeros((1, 1))), cfg, [0.0], [0.0])
+        assert not attitude_kf._gain_memo
+
+
+def _dropout_series(share=0.02, seed=11):
+    """A synthetic series with the magnetometer zeroed on a seeded share of
+    rows after the first; returns it and those rows."""
+    imu, _ = synth_trajectory(SynthConfig(duration=20.0, seed=seed))
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.choice(np.arange(1, len(imu)), size=round(share * len(imu)),
+                              replace=False))
+    imu.mag[rows] = 0.0
+    return imu, rows.tolist()
+
+
+NOISELESS = SynthConfig(duration=12.0, seed=42, gyro_noise=0.0, gyro_bias=0.0,
+                        accel_noise=0.0, mag_noise=0.0)
+FILTER_INPUTS = {
+    "benchmark_scenario": lambda: synth_trajectory(SynthConfig(duration=120.0, seed=42))[0],
+    "noiseless": lambda: synth_trajectory(NOISELESS)[0],
+    "oxiod_fixture": lambda: load_oxiod(FIXTURES / "oxiod_imu.csv",
+                                        FIXTURES / "oxiod_vicon.csv")[0],
+    "ucs_fixture": lambda: load_ucs(FIXTURES / "ucs.csv")[0],
+}
+
+
+class TestEquivalence:
+    """run_kf and measurement_angles against the scalar per-sample reference."""
+
+    @pytest.mark.parametrize("name", [*FILTER_INPUTS, "mag_dropouts"])
+    def test_run_kf_matches_reference_loop(self, name):
+        imu, dropouts = _dropout_series() if name == "mag_dropouts" else (
+            FILTER_INPUTS[name](), [])
+        cfg = KfConfig()
+        want, predict_only = run_kf_reference(imu, cfg)
+        assert predict_only == dropouts
+        assert np.max(np.abs(run_kf(imu, cfg).angles - want)) <= 1e-12
+
+    @pytest.mark.parametrize("name", FILTER_INPUTS)
+    def test_measurement_angles_match_scalar_formulas(self, name):
+        imu = FILTER_INPUTS[name]()
+        want = np.array([measure_reference(a, m) for a, m in zip(imu.accel, imu.mag)])
+        assert np.max(np.abs(measurement_angles(imu).angles - want)) <= 1e-12
+
+    def test_kf_step_runs_once_per_measurement_update(self, monkeypatch, caplog):
+        # the benchmark tracer counts kf_step calls as measurement updates
+        imu, dropouts = _dropout_series()
+        calls = []
+        step = attitude_kf.kf_step
+        monkeypatch.setattr(attitude_kf, "kf_step",
+                            lambda *args: calls.append(None) or step(*args))
+        with caplog.at_level("WARNING", logger="danae.attitude_kf"):
+            run_kf(imu)
+        assert len(calls) == len(imu) - 1 - len(dropouts)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sample {i}: magnetometer reading has zero magnitude; skipping measurement update"
+            for i in dropouts]
+
+
+# (accel, mag) readings the measurement model rejects, with the error it names
+DEGENERATE_READINGS = {
+    "zero_accel": ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), InvalidInputError,
+                   "accelerometer reading has zero magnitude"),
+    "zero_accel_and_mag": ((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), InvalidInputError,
+                           "accelerometer reading has zero magnitude"),
+    "zero_mag": ((0.0, 0.0, 9.81), (0.0, 0.0, 0.0), InvalidInputError,
+                 "magnetometer reading has zero magnitude"),
+    "vertical_field": ((0.0, 0.0, 9.81), (0.0, 0.0, 1.0), NumericalError,
+                       "magnetic field is vertical: heading is undefined"),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_READINGS)
+class TestDegenerateReadings:
+    def _series(self, name, row):
+        accel, mag, _, _ = DEGENERATE_READINGS[name]
+        series = _static_series(n=8)
+        series.accel[row], series.mag[row] = accel, mag
+        return series
+
+    def test_sample_0_raises(self, name):
+        _, _, error, message = DEGENERATE_READINGS[name]
+        for estimator in (run_kf, integrate_gyro, measurement_angles):
+            with pytest.raises(error, match=f"^{message}$"):
+                estimator(self._series(name, 0))
+
+    def test_later_sample_is_predict_only_in_run_kf(self, name, caplog):
+        _, _, error, message = DEGENERATE_READINGS[name]
+        with caplog.at_level("WARNING", logger="danae.attitude_kf"):
+            out = run_kf(self._series(name, 5))
+        assert np.max(np.abs(out.angles)) < 1e-6
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sample 5: {message}; skipping measurement update"]
+        with pytest.raises(error, match=f"^{message}$"):
+            measurement_angles(self._series(name, 5))

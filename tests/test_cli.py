@@ -175,8 +175,6 @@ class TestTrain:
                    "--out", out) == 2
         assert not out.exists()
 
-    # numpy warns of the overflow on its way to the NaN loss
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4_before_saving(self, trained, tmp_path, caplog):
         out = tmp_path / "m.ckpt"
         assert run("train", "--kf", trained["kf"], "--gt", trained["gt"],
@@ -184,6 +182,16 @@ class TestTrain:
                    "--out", out) == 4
         assert "diverged: epoch 1" in caplog.text
         assert not out.exists() and not Path(f"{out}.loss.csv").exists()
+
+    def test_divergence_reports_one_error_and_no_numpy_warning(self, trained, tmp_path):
+        out = tmp_path / "m.ckpt"
+        proc = run_fresh("train", "--kf", trained["kf"], "--gt", trained["gt"],
+                         "--angle", "roll", "--epochs", "2", "--lr", "1e200",
+                         "--stride", "5", "--out", out)
+        assert proc.returncode == 4 and not out.exists()
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            "ERROR training diverged: epoch 1's mean loss is nan (learning rate 1e+200)"]
 
     def test_same_seed_identical_checkpoints(self, trained, tmp_path):
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"

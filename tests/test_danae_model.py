@@ -67,6 +67,17 @@ class TestBuildModel:
         model = build_model(0)
         assert model.encoder[-1].spec.out_channels == 128
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+    ])
+    def test_bad_seed_raises_train_configs_error(self, seed, message):
+        # numpy's own ValueError/TypeError used to reach library callers
+        for bad in (lambda: build_model(seed, channels=2),
+                    lambda: TrainConfig(seed=seed).validate()):
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                bad()
+
 
 class TestForward:
     def test_zero_input_gives_finite_window(self):
