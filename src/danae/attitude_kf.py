@@ -96,9 +96,11 @@ def _fault_error(code) -> DanaeError:
 
 
 def _raise_first_fault(fault: np.ndarray) -> None:
+    """Raise the first faulty row's error, naming its sample index."""
     bad = np.flatnonzero(fault)
     if bad.size:
-        raise _fault_error(fault[bad[0]])
+        error, message = _FAULTS[int(fault[bad[0]])]
+        raise error(f"sample {bad[0]}: {message}")
 
 
 def _tilt(accel: np.ndarray):
@@ -143,7 +145,8 @@ def accel_to_roll_pitch(accel) -> tuple[float, float]:
     Assumes the reaction convention: a level sensor reads (0, 0, +g).
     """
     roll, pitch, fault = _tilt(np.asarray(accel, dtype=float).reshape(1, 3))
-    _raise_first_fault(fault)
+    if fault[0]:
+        raise _fault_error(fault[0])
     return float(roll[0]), float(pitch[0])
 
 
@@ -156,7 +159,8 @@ def mag_to_yaw(mag, roll: float, pitch: float) -> float:
     yaw, fault = _heading(np.asarray(mag, dtype=float).reshape(1, 3),
                           np.asarray(roll, dtype=float).reshape(1),
                           np.asarray(pitch, dtype=float).reshape(1))
-    _raise_first_fault(fault)
+    if fault[0]:
+        raise _fault_error(fault[0])
     return float(yaw[0])
 
 
@@ -246,9 +250,10 @@ def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
     multiples of 2*pi onto the branch nearest the prediction, so residuals
     stay within pi; the output therefore evolves continuously and is not
     wrapped. Samples with a degenerate accel/mag reading get a predict-only
-    step and their index is logged. A NaN or infinity anywhere in the series,
-    even one written after construction, raises InvalidInputError naming its
-    sample and column.
+    step and their index is logged; at sample 0, which has no prediction,
+    the reading's error is raised naming the sample. A NaN or infinity
+    anywhere in the series, even one written after construction, raises
+    InvalidInputError naming its sample and column.
     """
     cfg = KfConfig() if cfg is None else cfg
     if cfg.n != 3:
@@ -298,7 +303,10 @@ def integrate_gyro(series: ImuSeries) -> AngleSeries:
 
 
 def measurement_angles(series: ImuSeries) -> AngleSeries:
-    """Raw accel/mag baseline: per-sample gravity-tilt and compass angles."""
+    """Raw accel/mag baseline: per-sample gravity-tilt and compass angles.
+
+    The first degenerate reading raises its error naming the sample index.
+    """
     series.check_finite()
     measured, fault = _measure_rows(series.accel, series.mag)
     _raise_first_fault(fault)

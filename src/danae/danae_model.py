@@ -275,9 +275,12 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
 
     Each chunk of DENOISE_CHUNK windows runs through the model as a plain
     array, so no autograd graph is built, and each layer writes its output
-    into a destination allocated once per call (one per layer output plus one
-    for the skip sums, viewed at each chunk's size). The values are
-    bit-identical to a graph-building forward.
+    into a destination allocated once per call and viewed at each chunk's
+    size. Destinations are shared by liveness: enc0..enc3 keep their own,
+    since the skip sums read them later; every std_i writes one shared
+    buffer and every up_i and skip sum another. That is six 128-channel
+    buffers and std3's 1-channel output. The values are bit-identical to a
+    graph-building forward.
 
     The destinations are kept because freeing them cost more in the kernel
     than the math took: glibc handed each freed 1.3-2.4 MB array of a
@@ -285,15 +288,20 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
     again. One `danae denoise` of 12 000 samples (128 channels, one BLAS
     thread) spent 1.2-1.4 s of its 8.2-9.1 s in system time on 583k minor
     faults; with the destinations kept, 0.03 s on 11k. A chunk is 32 windows
-    (655 kB per 128-channel output) because keeping the eleven outputs of a
-    64-window chunk raised that run's peak RSS from 51.6 to 53.6 MB, where
-    32 windows give about 46 MB.
+    (655 kB per 128-channel buffer) because keeping the eleven outputs of a
+    64-window chunk raised that run's peak RSS from 51.6 to 53.6 MB. With
+    twelve buffers of a 32-window chunk the `denoise` benchmark workload
+    peaked at 49.1 MB RSS; with the six shared ones, and the CSV reader and
+    writer working a row or a block at a time, at 42.8 MB.
     """
     n = len(series)
     if n < DEFAULT_WINDOW:
         raise InvalidInputError(f"series must have at least {DEFAULT_WINDOW} samples")
     windows = sliding_windows(series.angle(angle_id))
-    rows = [layer.spec.out_channels for _, layer in model.layers()] + [model.channels]
+    # enc0..enc3, then D1 for every std_i, D2 for every up_i and skip sum,
+    # and std3's 1-channel output
+    rows = [model.channels] * (len(model.encoder) + 2) + [
+        model.decoder_std[-1].spec.out_channels]
     capacity = DEFAULT_WINDOW * min(len(windows), DENOISE_CHUNK)
     store = [np.empty(r * capacity) for r in rows]
     total = np.zeros(n)
@@ -301,8 +309,14 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
         chunk = windows[lo:lo + DENOISE_CHUNK]
         # a prefix of each flat buffer is a C-contiguous array of the chunk's shape
         size = DEFAULT_WINDOW * len(chunk)
-        out = [buf[:r * size].reshape(r, DEFAULT_WINDOW, len(chunk))
-               for r, buf in zip(rows, store)]
+        *enc, d1, d2, last = [buf[:r * size].reshape(r, DEFAULT_WINDOW, len(chunk))
+                              for r, buf in zip(rows, store)]
+        # _run's order: the encoder, std/up pairs, std3, then the skip sums.
+        # No conv writes the buffer it reads (std reads D2 and writes D1, up
+        # the reverse), and every layer's correlation padding is > 0, so
+        # _pad_or_crop copies each input before the GEMM writes anyway. The
+        # skip sum adds into D2 in place, which is safe for an elementwise add.
+        out = enc + [d1, d2] * len(model.decoder_up) + [last, d2]
         recon = _run(model, chunk.T[None, :, :], out)[0]
         # row j is offset j of each window; last row first adds each
         # sample's reconstructions in window order

@@ -23,8 +23,8 @@ CSV schemas (documented; loaders validate and fail loudly):
 
 from __future__ import annotations
 
-import io
 import math
+from array import array
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -106,61 +106,87 @@ def _format_row(values) -> str:
     return ",".join(f"{v:.17g}" for v in values)
 
 
-def _read_lines(path, error) -> list[str]:
-    """The lines of a UTF-8 text file, as text-mode readlines() gives them;
-    bytes that are not UTF-8 raise `error` naming the file line."""
-    raw = Path(path).read_bytes()
+def _text_lines(path, error):
+    """The lines of a UTF-8 text file, one at a time and without their line
+    ends, split at "\n", "\r" and "\r\n" as text mode splits them; a byte
+    that is not UTF-8 raises `error` naming its file line."""
+    with open(path, "rb") as fh:
+        # "\r" and "\n" never occur inside a UTF-8 sequence, so each
+        # "\n"-ended piece decodes on its own
+        for number, raw in enumerate(fh, start=1):
+            try:
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise error(f"{path}:{number}: byte {raw[err.start]:#04x} "
+                            f"is not UTF-8 text") from None
+            # "\r\n" is one line end, and so is a "\r" that ends the file
+            yield from text.removesuffix("\n").removesuffix("\r").split("\r")
+
+
+def _parse_lines(path, error, parse, *args):
+    """parse(path, (line number, text) pairs of a UTF-8 file, *args). The
+    file is read once; an `error` raised by parse gives way to a byte
+    further on that is not UTF-8, as if the whole file had been decoded
+    first."""
+    lines = _text_lines(path, error)
     try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
-        raise error(f"{path}:{line}: byte {raw[err.start]:#04x} is not UTF-8 text") from None
-    return io.StringIO(text, newline=None).readlines()
+        return parse(path, enumerate(lines, start=1), *args)
+    except error:
+        for _ in lines:
+            pass
+        raise
+
+
+def _is_header(cells) -> bool:
+    try:
+        for c in cells:
+            float(c)
+    except ValueError:
+        return True
+    return False
 
 
 def read_table(path, expected_columns: int | None = None) -> np.ndarray:
     """Read a numeric CSV (header row optional) into a 2-D float array.
 
     A cell that does not parse, or parses to NaN or an infinity, raises
-    DataError naming its file line; so does a byte that is not UTF-8.
+    DataError naming its file line; so does a byte that is not UTF-8. Rows
+    are parsed one line at a time into one float buffer.
     """
-    path = Path(path)
-    rows = []
-    lines = _read_lines(path, DataError)
-    start = 0
-    if lines:
-        first = lines[0].strip()
-        if first:
-            try:
-                [float(c) for c in first.split(",")]
-            except ValueError:
-                start = 1  # header row
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    return _parse_lines(Path(path), DataError, _parse_table, expected_columns)
+
+
+def _parse_table(path, lines, expected_columns: int | None) -> np.ndarray:
+    values = array("d")
+    widths = set()
+    for lineno, line in lines:
         text = line.strip()
         if not text:
             continue
         cells = text.split(",")
+        if lineno == 1 and _is_header(cells):
+            continue
         if expected_columns is not None and len(cells) != expected_columns:
             raise DataError(
                 f"{path}:{lineno}: expected {expected_columns} columns, got {len(cells)}"
             )
         try:
-            values = [float(c) for c in cells]
+            row = [float(c) for c in cells]
         except ValueError as err:
             raise DataError(f"{path}:{lineno}: {err}") from None
-        if not all(map(math.isfinite, values)):
-            col = next(i for i, v in enumerate(values) if not math.isfinite(v))
+        if not all(map(math.isfinite, row)):
+            col = next(i for i, v in enumerate(row) if not math.isfinite(v))
             raise DataError(
                 f"{path}:{lineno}: column {col + 1} holds {cells[col].strip()!r}, "
                 f"not a finite number"
             )
-        rows.append(values)
-    if not rows:
+        widths.add(len(row))
+        values.extend(row)
+    if not widths:
         raise DataError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise DataError(f"{path}: ragged rows with widths {sorted(widths)}")
-    return np.array(rows)
+    return np.frombuffer(values).reshape(-1, widths.pop())
 
 
 def _check_monotonic(path, t):
@@ -171,11 +197,18 @@ def _check_monotonic(path, t):
         )
 
 
+# rows _write_table turns into Python floats at a time
+_WRITE_BLOCK = 1024
+
+
 def _write_table(path, header: str, table: np.ndarray) -> None:
-    """A header line, then each table row as 17-significant-digit cells."""
+    """A header line, then each table row as 17-significant-digit cells,
+    formatted _WRITE_BLOCK rows at a time."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(_format_row(row) + "\n" for row in table.tolist())
+        for lo in range(0, len(table), _WRITE_BLOCK):
+            fh.writelines(_format_row(row) + "\n"
+                          for row in table[lo:lo + _WRITE_BLOCK].tolist())
 
 
 def write_angle_csv(path, series: AngleSeries) -> None:
@@ -464,8 +497,12 @@ def split(dataset, policy):
 
 def read_config_file(path) -> dict[str, str]:
     """Parse a plain key=value file; '#' starts a comment, blank lines ignored."""
+    return _parse_lines(path, ConfigError, _parse_config)
+
+
+def _parse_config(path, lines) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, line in enumerate(_read_lines(path, ConfigError), start=1):
+    for lineno, line in lines:
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

@@ -291,10 +291,12 @@ def activation(x: Tensor | np.ndarray, out: np.ndarray | None = None) -> Tensor 
     y = np.maximum(xd, LEAKY_SLOPE * xd, out=out)
     if not isinstance(x, Tensor):
         return y
-    slope = np.where(xd > 0, 1.0, LEAKY_SLOPE)
+    # the graph keeps a 1-byte mask; choosing g or LEAKY_SLOPE * g by it is
+    # bit for bit g * where(x > 0, 1.0, LEAKY_SLOPE), signed zeros included
+    positive = xd > 0
 
     def backward_fn(g):
-        _accumulate(x, g * slope, owned=True)
+        _accumulate(x, np.where(positive, g, LEAKY_SLOPE * g), owned=True)
 
     return Tensor(y, (x,), backward_fn)
 

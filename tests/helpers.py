@@ -4,10 +4,12 @@ These deliberately avoid the library's code paths: the Kalman reference
 inverts matrices by adjugate/cofactor expansion instead of linear solves,
 the filter reference runs the measurement model and gyro kinematics one
 sample at a time in scalar `math`, and the convolution reference is a
-direct triple loop over channels and taps. The checkpoint builders at the
-end feed the loaders' error tests.
+direct triple loop over channels and taps. The CSV and config readers
+decode the whole file, then split it into lines, before parsing any row.
+The checkpoint builders at the end feed the loaders' error tests.
 """
 
+import io
 import json
 import math
 import struct
@@ -160,6 +162,66 @@ def random_spd(rng, n, scale=1.0):
 def relative_error(a, b):
     denom = max(abs(a), abs(b), 1e-8)
     return abs(a - b) / denom
+
+
+def _whole_file_lines(path, error):
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = raw.count(b"\n", 0, err.start) + 1
+        raise error(f"{path}:{line}: byte {raw[err.start]:#04x} is not UTF-8 text") from None
+    return io.StringIO(text, newline=None).readlines()
+
+
+def read_table_reference(path, expected_columns=None):
+    """dataio.read_table with every line and row held at once."""
+    path = Path(path)
+    lines = _whole_file_lines(path, DataError)
+    rows = []
+    start = 0
+    if lines and lines[0].strip():
+        try:
+            [float(c) for c in lines[0].strip().split(",")]
+        except ValueError:
+            start = 1
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        text = line.strip()
+        if not text:
+            continue
+        cells = text.split(",")
+        if expected_columns is not None and len(cells) != expected_columns:
+            raise DataError(
+                f"{path}:{lineno}: expected {expected_columns} columns, got {len(cells)}")
+        try:
+            values = [float(c) for c in cells]
+        except ValueError as err:
+            raise DataError(f"{path}:{lineno}: {err}") from None
+        for col, v in enumerate(values):
+            if not math.isfinite(v):
+                raise DataError(f"{path}:{lineno}: column {col + 1} holds "
+                                f"{cells[col].strip()!r}, not a finite number")
+        rows.append(values)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise DataError(f"{path}: ragged rows with widths {sorted(widths)}")
+    return np.array(rows)
+
+
+def read_config_reference(path):
+    """dataio.read_config_file with every line held at once."""
+    out = {}
+    for lineno, line in enumerate(_whole_file_lines(path, ConfigError), start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
+        key, value = text.split("=", 1)
+        out[key.strip()] = value.strip()
+    return out
 
 
 def header_only_checkpoint(header) -> bytes:

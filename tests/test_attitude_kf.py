@@ -45,7 +45,9 @@ class TestAccelToRollPitch:
         assert pitch == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_zero_accel_rejected(self):
-        with pytest.raises(InvalidInputError):
+        # a one-row call has no sample index to name
+        with pytest.raises(InvalidInputError,
+                           match="^accelerometer reading has zero magnitude$"):
             accel_to_roll_pitch((0.0, 0.0, 0.0))
 
     def test_ranges(self):
@@ -70,7 +72,8 @@ class TestMagToYaw:
         assert mag_to_yaw((0.0, 0.0, 1.0), math.pi / 2, 0.0) == pytest.approx(math.pi / 2)
 
     def test_zero_mag_rejected(self):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError,
+                           match="^magnetometer reading has zero magnitude$"):
             mag_to_yaw((0.0, 0.0, 0.0), 0.0, 0.0)
 
     def test_vertical_field_degenerate(self):
@@ -436,7 +439,7 @@ class TestDegenerateReadings:
     def test_sample_0_raises(self, name):
         _, _, error, message = DEGENERATE_READINGS[name]
         for estimator in (run_kf, integrate_gyro, measurement_angles):
-            with pytest.raises(error, match=f"^{message}$"):
+            with pytest.raises(error, match=f"^sample 0: {message}$"):
                 estimator(self._series(name, 0))
 
     def test_later_sample_is_predict_only_in_run_kf(self, name, caplog):
@@ -446,5 +449,5 @@ class TestDegenerateReadings:
         assert np.max(np.abs(out.angles)) < 1e-6
         assert [r.getMessage() for r in caplog.records] == [
             f"sample 5: {message}; skipping measurement update"]
-        with pytest.raises(error, match=f"^{message}$"):
+        with pytest.raises(error, match=f"^sample 5: {message}$"):
             measurement_angles(self._series(name, 5))

@@ -17,10 +17,12 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from danae.danae_model import build_model, load_model, save_model  # noqa: E402
-from danae.dataio import (load_oxiod, load_ucs, read_angle_csv, read_imu_csv,  # noqa: E402
-                          read_table)
+from danae.dataio import (load_oxiod, load_ucs, read_angle_csv,  # noqa: E402
+                          read_config_file, read_imu_csv, read_table)
 from danae.errors import DanaeError  # noqa: E402
 from danae.tensor_nn import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, read_checkpoint  # noqa: E402
+
+from helpers import read_config_reference, read_table_reference  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -108,3 +110,45 @@ def test_table_from_arbitrary_text(input_file, text):
     _only_danae_errors(read_imu_csv, input_file)
     _only_danae_errors(load_ucs, input_file)
     _only_danae_errors(lambda path: load_oxiod(path, path), input_file)
+
+
+def _outcome(read, path):
+    """A reader's result as comparable bytes, or its error's class and message."""
+    try:
+        result = read(path)
+    except DanaeError as err:
+        return type(err), str(err)
+    if isinstance(result, dict):
+        return result
+    return result.shape, result.dtype, result.tobytes()
+
+
+def _with_bytes(text):
+    # valid text around a few arbitrary bytes, which are often not UTF-8
+    return st.tuples(text, st.binary(max_size=3), text).map(
+        lambda p: p[0].encode() + p[1] + p[2].encode())
+
+
+_CSV_BYTES = st.one_of(st.binary(max_size=200), _CSV_TEXT.map(str.encode),
+                       _with_bytes(_CSV_TEXT))
+_CONFIG_TEXT = st.text(st.sampled_from("ab=#1 \t\r\n"), max_size=60)
+
+
+@FUZZ
+@given(raw=_CSV_BYTES, columns=st.sampled_from([None, 2, 4]))
+# a bad cell before a byte that is not UTF-8, and line ends of every kind
+@example(raw=b"1,2\nx,2\n\xff\n", columns=None)
+@example(raw=b"t,a\r1,2\r\n\r3,4\r", columns=2)
+def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
+    input_file.write_bytes(raw)
+    assert (_outcome(lambda path: read_table(path, columns), input_file)
+            == _outcome(lambda path: read_table_reference(path, columns), input_file))
+
+
+@FUZZ
+@given(raw=st.one_of(_CONFIG_TEXT.map(str.encode), _with_bytes(_CONFIG_TEXT)))
+@example(raw=b"a=1\rb\n\xff")
+def test_config_reader_matches_whole_file_reference(input_file, raw):
+    input_file.write_bytes(raw)
+    assert _outcome(read_config_file, input_file) == _outcome(read_config_reference,
+                                                             input_file)

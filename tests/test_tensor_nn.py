@@ -3,6 +3,7 @@ import pytest
 
 from danae.errors import ConfigError, DataError, ShapeError, StateError
 from danae.tensor_nn import (
+    LEAKY_SLOPE,
     AdamState,
     ConvSpec,
     Tensor,
@@ -165,6 +166,23 @@ class TestActivation:
         a = rng.normal(size=(2, 30))
         b = a + np.abs(rng.normal(size=(2, 30)))
         assert np.all(activation(Tensor(a)).data <= activation(Tensor(b)).data)
+
+    def test_backward_bit_equal_to_slope_product(self):
+        # the graph keeps a bool mask; its gradient must equal the float
+        # slope product bit for bit, signed zeros and NaN included
+        rng = np.random.default_rng(5)
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+        # every (x, g) pair of special values, then random batches with zeros
+        grid = (np.array([special * len(special)]),
+                np.array([np.repeat(special, len(special))]))
+        x, g = rng.normal(size=(2, 3, 8, 4))
+        x[:, :2, :] = 0.0
+        x[:, 2:4, :] = -0.0
+        for x, g in (grid, (x, g)):
+            xt = Tensor(x)
+            y = activation(xt)
+            y._backward_fn(g)
+            assert xt.grad.tobytes() == (g * np.where(x > 0, 1.0, LEAKY_SLOPE)).tobytes()
 
 
 class TestL2Loss:
