@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DanaeError, InvalidInputError, NumericalError, ShapeError
+from .errors import DanaeError, InvalidInputError, NumericalError, ShapeError, check_integer
 from .series import AngleSeries, ImuSeries, wrap_angle
 
 __all__ = [
@@ -51,6 +51,7 @@ class KfConfig:
     P0: np.ndarray = None
 
     def __post_init__(self):
+        check_integer("n", self.n, 1)
         for name in ("A", "B", "C", "Q", "R", "P0"):
             m = getattr(self, name)
             m = np.eye(self.n) if m is None else np.asarray(m, dtype=float)

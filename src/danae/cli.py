@@ -44,7 +44,7 @@ from .dataio import (
     read_config_file,
     read_imu_csv,
     split,
-    synth_config_from_mapping,
+    synth_settings,
     synth_trajectory,
     write_angle_csv,
     write_imu_csv,
@@ -104,7 +104,7 @@ def _write_plot_data(path, kf, danae, gt) -> None:
 
 def _synth(cfg: SynthConfig, out_dir: Path):
     """Synthesise the scenario into out_dir: (imu, gt, [imu.csv, gt.csv])."""
-    imu, gt = synth_trajectory(cfg)  # validates cfg before out_dir is made
+    imu, gt = synth_trajectory(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / "imu.csv", out_dir / "gt.csv"]
     write_imu_csv(paths[0], imu)
@@ -149,17 +149,18 @@ def _evaluate(kf, danae, gt, wrap: bool, report, report_csv, plot_data) -> list:
 # main to record, or None when it writes no file
 
 def _synth_config(args) -> SynthConfig:
-    cfg = SynthConfig()
+    """Built, and so checked, once: a --config value its flag overrides is never checked."""
+    settings = {}
     if getattr(args, "config", None):
         mapping = read_config_file(args.config)
         try:
-            cfg = synth_config_from_mapping(mapping, cfg)
+            settings = synth_settings(mapping)
         except ConfigError as err:
             raise ConfigError(f"{args.config}: {err}") from None
-    overrides = {key: getattr(args, key) for key in _SYNTH_KEYS
-                 if getattr(args, key, None) is not None}
-    cfg = dataclasses.replace(cfg, **overrides)
-    return dataclasses.replace(cfg, seed=_resolve_seed(args.seed, cfg.seed))
+    settings.update((key, getattr(args, key)) for key in _SYNTH_KEYS
+                    if getattr(args, key, None) is not None)
+    settings["seed"] = _resolve_seed(args.seed, settings.get("seed", SynthConfig.seed))
+    return SynthConfig(**settings)
 
 
 def _add_synth_options(parser: argparse.ArgumentParser) -> None:
@@ -211,7 +212,6 @@ def _train_config(args, seed: int) -> TrainConfig:
     """The validated training settings shared by train and pipeline."""
     cfg = TrainConfig(epochs=args.epochs, seed=seed, batch_size=args.batch_size,
                       lr=args.lr)
-    cfg.validate()
     if args.stride < 1:
         raise ConfigError("--stride must be >= 1")
     return cfg
@@ -277,11 +277,11 @@ def cmd_pipeline(args):
             raise ConfigError(f"unknown angle {name!r}")
         if name in angles[:i]:
             raise ConfigError(f"--angles names {name} twice")
-    if not 0.0 < args.train_fraction < 1.0:
-        raise ConfigError("--train-fraction must be in (0, 1)")
+    try:
+        policy = FractionSplit(args.train_fraction)
+    except InvalidInputError:
+        raise ConfigError("--train-fraction must be in (0, 1)") from None
     train_cfg = _train_config(args, cfg.seed)
-    cfg.validate()
-    policy = FractionSplit(args.train_fraction)
     n = cfg.samples
     cut = policy.cut(n)
     if min(cut, n - cut) < DEFAULT_WINDOW:

@@ -27,7 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from .dataio import DEFAULT_WINDOW, WindowSet, sliding_windows
-from .errors import ConfigError, InvalidInputError, NumericalError, ShapeError
+from .errors import ConfigError, InvalidInputError, NumericalError, ShapeError, check_integer
 from .series import ANGLE_NAMES, AngleSeries, angle_index
 from .tensor_nn import (
     AdamState,
@@ -124,30 +124,20 @@ class DanaeModel:
 @dataclass(frozen=True)
 class TrainConfig:
     """Settings for train(); each epoch shuffles the windows with an order
-    drawn from `seed`, and the window length is always DEFAULT_WINDOW."""
+    drawn from `seed`, and the window length is always DEFAULT_WINDOW. A
+    config checks its fields when built and raises ConfigError."""
 
     epochs: int = 50
     seed: int = 0
     batch_size: int = 16
     lr: float = 0.002
 
-    def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        _check_seed(self.seed)
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be a finite number > 0, got {self.lr}")
-
-
-def _check_seed(seed) -> None:
-    """Reject a seed np.random.default_rng would refuse: only an integer >= 0
-    draws weights or batch orders."""
-    if not isinstance(seed, numbers.Integral):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    def __post_init__(self):
+        check_integer("epochs", self.epochs, 1)
+        check_integer("batch_size", self.batch_size, 1)
+        check_integer("seed", self.seed, 0)
+        if not (isinstance(self.lr, numbers.Real) and math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
 
 
 def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
@@ -181,7 +171,7 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
     seed pins every parameter bit-for-bit. A seed that is not an integer
     >= 0 raises ConfigError.
     """
-    _check_seed(seed)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     layers = []
     for _, spec, activate in _architecture(channels):
@@ -230,7 +220,6 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
     An epoch whose mean loss is not finite raises NumericalError naming it:
     the weights have diverged, and every later epoch would be NaN too.
     """
-    cfg.validate()
     if len(windows) == 0:
         raise InvalidInputError("cannot train on an empty window set")
     if windows.window_length != DEFAULT_WINDOW:
@@ -282,17 +271,10 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
     buffers and std3's 1-channel output. The values are bit-identical to a
     graph-building forward.
 
-    The destinations are kept because freeing them cost more in the kernel
-    than the math took: glibc handed each freed 1.3-2.4 MB array of a
-    64-window chunk back to the kernel, and the next chunk faulted it in
-    again. One `danae denoise` of 12 000 samples (128 channels, one BLAS
-    thread) spent 1.2-1.4 s of its 8.2-9.1 s in system time on 583k minor
-    faults; with the destinations kept, 0.03 s on 11k. A chunk is 32 windows
-    (655 kB per 128-channel buffer) because keeping the eleven outputs of a
-    64-window chunk raised that run's peak RSS from 51.6 to 53.6 MB. With
-    twelve buffers of a 32-window chunk the `denoise` benchmark workload
-    peaked at 49.1 MB RSS; with the six shared ones, and the CSV reader and
-    writer working a row or a block at a time, at 42.8 MB.
+    The destinations are kept because freeing them costs more than the math:
+    glibc hands a freed array of this size back to the kernel, and the next
+    chunk faults it in again. Chunks are small and buffers shared so that
+    keeping them adds little to the peak RSS.
     """
     n = len(series)
     if n < DEFAULT_WINDOW:

@@ -24,13 +24,14 @@ CSV schemas (documented; loaders validate and fail loudly):
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, InvalidInputError, ShapeError
+from .errors import ConfigError, DataError, InvalidInputError, ShapeError, check_integer
 from .series import _ANGLE_COLUMNS, _IMU_COLUMNS, AngleSeries, EulerAngles, ImuSeries, wrap_angle
 
 __all__ = [
@@ -109,7 +110,8 @@ def _format_row(values) -> str:
 def _text_lines(path, error):
     """The lines of a UTF-8 text file, one at a time and without their line
     ends, split at "\n", "\r" and "\r\n" as text mode splits them; a byte
-    that is not UTF-8 raises `error` naming its file line."""
+    that is not UTF-8 raises `error` naming its file line. The lines of a
+    "\n"-ended piece come only once the whole piece has decoded."""
     with open(path, "rb") as fh:
         # "\r" and "\n" never occur inside a UTF-8 sequence, so each
         # "\n"-ended piece decodes on its own
@@ -123,20 +125,6 @@ def _text_lines(path, error):
             yield from text.removesuffix("\n").removesuffix("\r").split("\r")
 
 
-def _parse_lines(path, error, parse, *args):
-    """parse(path, (line number, text) pairs of a UTF-8 file, *args). The
-    file is read once; an `error` raised by parse gives way to a byte
-    further on that is not UTF-8, as if the whole file had been decoded
-    first."""
-    lines = _text_lines(path, error)
-    try:
-        return parse(path, enumerate(lines, start=1), *args)
-    except error:
-        for _ in lines:
-            pass
-        raise
-
-
 def _is_header(cells) -> bool:
     try:
         for c in cells:
@@ -146,27 +134,24 @@ def _is_header(cells) -> bool:
     return False
 
 
-def read_table(path, expected_columns: int | None = None) -> np.ndarray:
-    """Read a numeric CSV (header row optional) into a 2-D float array.
+def read_table(path, expected_columns: int) -> np.ndarray:
+    """Read a numeric CSV (header row optional) of `expected_columns`
+    columns into a 2-D float array, a line at a time into one float buffer.
 
-    A cell that does not parse, or parses to NaN or an infinity, raises
-    DataError naming its file line; so does a byte that is not UTF-8. Rows
-    are parsed one line at a time into one float buffer.
+    The first problem in file order raises DataError naming its line: a row
+    of another width, a cell that does not parse or is not finite, or a
+    byte that is not UTF-8.
     """
-    return _parse_lines(Path(path), DataError, _parse_table, expected_columns)
-
-
-def _parse_table(path, lines, expected_columns: int | None) -> np.ndarray:
+    path = Path(path)
     values = array("d")
-    widths = set()
-    for lineno, line in lines:
+    for lineno, line in enumerate(_text_lines(path, DataError), start=1):
         text = line.strip()
         if not text:
             continue
         cells = text.split(",")
         if lineno == 1 and _is_header(cells):
             continue
-        if expected_columns is not None and len(cells) != expected_columns:
+        if len(cells) != expected_columns:
             raise DataError(
                 f"{path}:{lineno}: expected {expected_columns} columns, got {len(cells)}"
             )
@@ -180,13 +165,10 @@ def _parse_table(path, lines, expected_columns: int | None) -> np.ndarray:
                 f"{path}:{lineno}: column {col + 1} holds {cells[col].strip()!r}, "
                 f"not a finite number"
             )
-        widths.add(len(row))
         values.extend(row)
-    if not widths:
+    if not values:
         raise DataError(f"{path}: no data rows")
-    if len(widths) != 1:
-        raise DataError(f"{path}: ragged rows with widths {sorted(widths)}")
-    return np.frombuffer(values).reshape(-1, widths.pop())
+    return np.frombuffer(values).reshape(-1, expected_columns)
 
 
 def _check_monotonic(path, t):
@@ -307,6 +289,7 @@ class SynthConfig:
 
     Defaults describe the standard desk-scale benchmark trajectory: two
     minutes at 100 Hz with moderate sensor noise and a constant gyro bias.
+    A config checks its fields when built and raises ConfigError.
     """
 
     duration: float = 120.0
@@ -323,26 +306,32 @@ class SynthConfig:
     mag_noise: float = 0.05
     seed: int = 42
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_integer("seed", self.seed, 0)
         for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+            value = getattr(self, f.name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not self.duration > 0:
             raise ConfigError("duration must be positive")
         if not self.rate > 0:
             raise ConfigError("rate must be positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("gyro_noise", "accel_noise", "mag_noise"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         # keep pitch well clear of +-pi/2 so the rate kinematics stay regular
         if abs(self.pitch_amp) >= 1.2:
             raise ConfigError("pitch amplitude must stay below 1.2 rad")
+        # checked for finiteness before round(), which overflows on an infinity
+        count = self.duration * self.rate
+        if not (math.isfinite(count) and round(count) >= 2):
+            raise ConfigError(f"duration * rate must give at least 2 samples, got {count}")
 
     @property
     def samples(self) -> int:
-        """The scenario's sample count, round(duration * rate); validate first."""
+        """The scenario's sample count, round(duration * rate)."""
         return int(round(self.duration * self.rate))
 
 
@@ -390,10 +379,7 @@ def synth_trajectory(cfg: SynthConfig) -> tuple[ImuSeries, AngleSeries]:
     and magnetometer samples are a fixed dipping world field, both plus
     white noise; the gyro additionally carries a constant bias on each axis.
     """
-    cfg.validate()
     n = cfg.samples
-    if n < 2:
-        raise ConfigError("duration * rate must give at least 2 samples")
     t = np.arange(n) / cfg.rate
     amps = np.array([cfg.roll_amp, cfg.pitch_amp, cfg.yaw_amp])
     freqs = np.array([cfg.roll_freq, cfg.pitch_freq, cfg.yaw_freq])
@@ -474,6 +460,10 @@ class FractionSplit:
 
     fraction: float = 0.8
 
+    def __post_init__(self):
+        if not (isinstance(self.fraction, numbers.Real) and 0.0 < self.fraction < 1.0):
+            raise InvalidInputError(f"fraction must be in (0, 1), got {self.fraction!r}")
+
     def cut(self, n: int) -> int:
         """Where a series of n samples splits: floor(fraction * n)."""
         return int(math.floor(self.fraction * n))
@@ -485,8 +475,6 @@ def split(dataset, policy):
     FractionSplit slices any sequence-like dataset at floor(fraction * N).
     """
     if isinstance(policy, FractionSplit):
-        if not 0.0 < policy.fraction < 1.0:
-            raise InvalidInputError("fraction must be in (0, 1)")
         cut = policy.cut(len(dataset))
         return dataset[:cut], dataset[cut:]
     raise ConfigError(f"unknown split policy: {policy!r}")
@@ -496,13 +484,10 @@ def split(dataset, policy):
 # key=value config files
 
 def read_config_file(path) -> dict[str, str]:
-    """Parse a plain key=value file; '#' starts a comment, blank lines ignored."""
-    return _parse_lines(path, ConfigError, _parse_config)
-
-
-def _parse_config(path, lines) -> dict[str, str]:
+    """Parse a plain key=value file; '#' starts a comment, blank lines ignored.
+    The first line without '=' or byte that is not UTF-8 raises ConfigError."""
     out: dict[str, str] = {}
-    for lineno, line in lines:
+    for lineno, line in enumerate(_text_lines(path, ConfigError), start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -513,17 +498,16 @@ def _parse_config(path, lines) -> dict[str, str]:
     return out
 
 
-def synth_config_from_mapping(mapping, base: SynthConfig | None = None) -> SynthConfig:
-    """Build a SynthConfig from string key=value pairs, over a base config."""
-    base = base or SynthConfig()
-    types = {f: type(getattr(base, f)) for f in base.__dataclass_fields__}
-    updates = {}
+def synth_settings(mapping) -> dict:
+    """The SynthConfig fields of string key=value pairs, each read as its field's type."""
+    types = {f.name: type(f.default) for f in fields(SynthConfig)}
+    settings = {}
     for key, value in mapping.items():
         if key not in types:
             raise ConfigError(f"unknown synth config key {key!r}")
         try:
-            updates[key] = types[key](value)
+            settings[key] = types[key](value)
         except ValueError:
             raise ConfigError(f"synth config key {key!r}: cannot read {value!r} "
                               f"as {types[key].__name__}") from None
-    return replace(base, **updates)
+    return settings

@@ -1,8 +1,10 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the integer check of their settings.
 
 The CLI maps these onto exit codes: ConfigError (and subclasses) -> 2,
 DataError/InvalidInputError -> 3, NumericalError -> 4.
 """
+
+import numbers
 
 
 class DanaeError(Exception):
@@ -31,3 +33,12 @@ class NumericalError(DanaeError):
 
 class StateError(DanaeError):
     """Operation called in the wrong order (e.g. backward before forward)."""
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless `value` is an integer >= `minimum`; `name`
+    is the setting the message names."""
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")

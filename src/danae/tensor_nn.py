@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError, StateError
+from .errors import ConfigError, DataError, ShapeError, StateError, check_integer
 
 __all__ = [
     "Tensor",
@@ -103,14 +103,11 @@ class ConvSpec:
     transposed: bool = False
 
     def __post_init__(self):
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ConfigError("channel counts must be >= 1")
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+        for name, minimum in (("in_channels", 1), ("out_channels", 1), ("kernel_size", 1),
+                              ("dilation", 1), ("padding", 0)):
+            check_integer(name, getattr(self, name), minimum)
+        if self.kernel_size % 2 == 0:
             raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
-        if self.dilation < 1:
-            raise ConfigError(f"dilation must be >= 1, got {self.dilation}")
-        if self.padding < 0:
-            raise ConfigError(f"padding must be >= 0, got {self.padding}")
 
     @property
     def span(self) -> int:

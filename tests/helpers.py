@@ -165,19 +165,24 @@ def relative_error(a, b):
 
 
 def _whole_file_lines(path, error):
+    """(lines, byte error) of a whole decoded file: every line and None for
+    UTF-8 text; otherwise the lines before the "\n"-ended piece that holds
+    the first bad byte, and that byte's error."""
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        return io.StringIO(raw.decode("utf-8"), newline=None).readlines(), None
     except UnicodeDecodeError as err:
         line = raw.count(b"\n", 0, err.start) + 1
-        raise error(f"{path}:{line}: byte {raw[err.start]:#04x} is not UTF-8 text") from None
-    return io.StringIO(text, newline=None).readlines()
+        head = raw[:raw.rfind(b"\n", 0, err.start) + 1].decode("utf-8")
+        return (io.StringIO(head, newline=None).readlines(),
+                error(f"{path}:{line}: byte {raw[err.start]:#04x} is not UTF-8 text"))
 
 
-def read_table_reference(path, expected_columns=None):
-    """dataio.read_table with every line and row held at once."""
+def read_table_reference(path, expected_columns):
+    """dataio.read_table with every line and row held at once: the first
+    problem in file order, a bad row or a bad byte, is raised."""
     path = Path(path)
-    lines = _whole_file_lines(path, DataError)
+    lines, byte_error = _whole_file_lines(path, DataError)
     rows = []
     start = 0
     if lines and lines[0].strip():
@@ -190,7 +195,7 @@ def read_table_reference(path, expected_columns=None):
         if not text:
             continue
         cells = text.split(",")
-        if expected_columns is not None and len(cells) != expected_columns:
+        if len(cells) != expected_columns:
             raise DataError(
                 f"{path}:{lineno}: expected {expected_columns} columns, got {len(cells)}")
         try:
@@ -202,18 +207,19 @@ def read_table_reference(path, expected_columns=None):
                 raise DataError(f"{path}:{lineno}: column {col + 1} holds "
                                 f"{cells[col].strip()!r}, not a finite number")
         rows.append(values)
+    if byte_error:
+        raise byte_error
     if not rows:
         raise DataError(f"{path}: no data rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataError(f"{path}: ragged rows with widths {sorted(widths)}")
     return np.array(rows)
 
 
 def read_config_reference(path):
-    """dataio.read_config_file with every line held at once."""
+    """dataio.read_config_file with every line held at once: the first
+    problem in file order, a bad line or a bad byte, is raised."""
     out = {}
-    for lineno, line in enumerate(_whole_file_lines(path, ConfigError), start=1):
+    lines, byte_error = _whole_file_lines(path, ConfigError)
+    for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
@@ -221,6 +227,8 @@ def read_config_reference(path):
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {text!r}")
         key, value = text.split("=", 1)
         out[key.strip()] = value.strip()
+    if byte_error:
+        raise byte_error
     return out
 
 

@@ -65,6 +65,12 @@ class TestSynth:
         assert run("synth", "--config", cfg, "--out-dir", out, "--rate", "80") == 0
         assert len((out / "imu.csv").read_text().splitlines()) == 161
 
+    def test_config_value_overridden_by_its_flag_is_not_checked(self, tmp_path):
+        cfg = tmp_path / "scenario.cfg"
+        cfg.write_text("duration=-1\nrate=40\n")
+        assert run("synth", "--config", cfg, "--out-dir", tmp_path / "out",
+                   "--duration", "2") == 0
+
     def test_env_seed_override_and_flag_priority(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DANAE_SEED", "1234")
         env_dir = tmp_path / "env"
@@ -301,9 +307,9 @@ class TestPipeline:
         ("--angles", "roll,roll"), ("--lr", "nan"), ("--lr", "-5"), ("--lr", "0"),
         # 30 samples: 24 to train on, 6 to denoise, fewer than one window
         ("--duration", "0.3", "--angles", "roll", "--epochs", "1"),
-        ("--seed", "-1"),
+        ("--seed", "-1"), ("--duration", "1e308", "--rate", "10"),
     ], ids=["stride_0", "epochs_0", "no_angle", "angle_twice", "lr_nan", "lr_negative",
-            "lr_0", "test_split_short", "seed_negative"])
+            "lr_0", "test_split_short", "seed_negative", "sample_count_overflow"])
     def test_bad_setting_exits_2_before_synth(self, tmp_path, flags):
         out = tmp_path / "x"
         assert run("pipeline", "--out-dir", out, "--duration", "6", *flags) == 2
@@ -327,9 +333,16 @@ _BROKEN_SYNTH = {
     "synth_config_fractional_seed": (b"seed=1.5\n", [],
                                      "bad.cfg: synth config key 'seed': cannot read '1.5'"),
     "synth_config_not_utf8": (b"duration=3\n\xff\n", [], "bad.cfg:2: byte 0xff is not UTF-8"),
+    # the first problem in file order wins
+    "synth_config_bad_line_then_byte": (b"duration=3\nrate 40\n\xff\n", [],
+                                        "bad.cfg:2: expected key=value"),
+    "synth_config_byte_then_bad_line": (b"duration=3\n\xff\nrate 40\n", [],
+                                        "bad.cfg:2: byte 0xff is not UTF-8"),
     "synth_infinite_duration": (b"", ["--duration", "inf"], "duration must be finite"),
     "synth_nan_gyro_noise": (b"", ["--gyro-noise", "nan"], "gyro_noise must be finite"),
     "synth_negative_seed": (b"", ["--seed", "-1"], "seed must be >= 0, got -1"),
+    "synth_sample_count_overflow": (b"", ["--duration", "1e308", "--rate", "10"],
+                                    "duration * rate"),
 }
 
 
@@ -354,6 +367,17 @@ def _broken_run(case, scenario, tmp):
         bad.write_bytes(raw)
         return (["kf", "--imu", bad, "--out", tmp / "kf.csv"],
                 3, "imu.csv:2: byte 0xff is not UTF-8")
+    if case in ("kf_bad_row_then_byte", "kf_byte_then_bad_row"):
+        # line 7 holds the first problem and line 10 the second
+        lines = _lines(scenario / "imu.csv")
+        short, byte = (6, 9) if case == "kf_bad_row_then_byte" else (9, 6)
+        lines[short] = lines[short].rsplit(",", 1)[0]  # one cell short
+        raw = [line.encode() for line in lines]
+        raw[byte] = b"\xff" + raw[byte][1:]
+        bad = tmp / "imu.csv"
+        bad.write_bytes(b"\n".join(raw) + b"\n")
+        message = "expected 10 columns, got 9" if short == 6 else "byte 0xff is not UTF-8"
+        return ["kf", "--imu", bad, "--out", tmp / "kf.csv"], 3, f"imu.csv:7: {message}"
     if case == "train":
         lines = _lines(gt)
         lines[9] = lines[8]  # t no longer increases
@@ -372,8 +396,9 @@ def _broken_run(case, scenario, tmp):
             2, "lr")
 
 
-@pytest.mark.parametrize("case", [*_BROKEN_SYNTH, "kf", "kf_not_utf8", "train",
-                                  "train_negative_seed", "eval", "pipeline"])
+@pytest.mark.parametrize("case", [*_BROKEN_SYNTH, "kf", "kf_not_utf8", "kf_bad_row_then_byte",
+                                  "kf_byte_then_bad_row", "train", "train_negative_seed",
+                                  "eval", "pipeline"])
 def test_broken_input_exits_cleanly(synth_dir, tmp_path, case):
     argv, code, message = _broken_run(case, synth_dir, tmp_path)
     proc = run_fresh(*argv)

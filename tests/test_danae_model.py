@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import danae
+from danae.attitude_kf import KfConfig
 from danae.danae_model import (
     DEFAULT_WINDOW,
     TrainConfig,
@@ -74,9 +75,38 @@ class TestBuildModel:
     def test_bad_seed_raises_train_configs_error(self, seed, message):
         # numpy's own ValueError/TypeError used to reach library callers
         for bad in (lambda: build_model(seed, channels=2),
-                    lambda: TrainConfig(seed=seed).validate()):
+                    lambda: TrainConfig(seed=seed)):
             with pytest.raises(ConfigError, match=f"^{message}$"):
                 bad()
+
+
+def _used_spec(*args, **kwargs):
+    spec = ConvSpec(*args, **kwargs)
+    return np.zeros((*spec.weight_shape(), spec.out_length(DEFAULT_WINDOW)))
+
+
+def _trained(**settings):
+    windows = WindowSet(np.zeros((2, DEFAULT_WINDOW)), np.zeros((2, DEFAULT_WINDOW)))
+    return train(build_model(0, channels=2), windows, TrainConfig(**settings))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: synth_trajectory(SynthConfig(seed=1.5)), "seed must be an integer, got 1.5"),
+    (lambda: synth_trajectory(SynthConfig(duration="5")), "duration must be a number, got '5'"),
+    (lambda: _trained(epochs=1.5), "epochs must be an integer, got 1.5"),
+    (lambda: _trained(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+    (lambda: _trained(lr="0.1"), "lr must be a finite number > 0, got '0.1'"),
+    (lambda: _used_spec(2.5, 3), "in_channels must be an integer, got 2.5"),
+    (lambda: _used_spec(2, 3, dilation=1.5), "dilation must be an integer, got 1.5"),
+    (lambda: _used_spec(2, 3, padding=0.5), "padding must be an integer, got 0.5"),
+    (lambda: build_model(0, channels=2.5), "out_channels must be an integer, got 2.5"),
+    (lambda: KfConfig(n=2.0), "n must be an integer, got 2.0"),
+], ids=["synth_seed", "synth_duration", "epochs", "batch_size", "lr", "in_channels",
+        "dilation", "padding", "channels", "kf_n"])
+def test_setting_of_the_wrong_type_raises_config_error(make, message):
+    # each used to reach library callers as a builtin TypeError
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        make()
 
 
 class TestForward:
@@ -144,7 +174,7 @@ class TestTrain:
 
     def test_zero_epochs_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig(epochs=0).validate()
+            TrainConfig(epochs=0)
 
     @pytest.mark.parametrize("lr", [0.0, -5.0, float("nan"), float("inf")])
     def test_bad_lr_rejected_before_any_step(self, lr):

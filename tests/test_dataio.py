@@ -16,8 +16,9 @@ from danae.dataio import (
     read_angle_csv,
     read_config_file,
     read_imu_csv,
+    read_table,
     split,
-    synth_config_from_mapping,
+    synth_settings,
     synth_trajectory,
     write_angle_csv,
     write_imu_csv,
@@ -190,6 +191,22 @@ def test_non_utf8_byte_names_the_line(tmp_path):
     path.write_bytes(b"t,roll,pitch,yaw\n0,0,0,0\n0.1,0,\xff,0\n")
     with pytest.raises(DataError, match=r"imu.csv:3: byte 0xff is not UTF-8"):
         read_angle_csv(path)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"t,roll,pitch,yaw\n0,0,0,0\n0.1,0,x,0\n0.2,0,\xff,0\n",
+     ":3: could not convert string to float: 'x'"),
+    (b"t,roll,pitch,yaw\n0,0,0,0\n0.1,0,\xff,0\n0.2,0,x,0\n",
+     ":3: byte 0xff is not UTF-8 text"),
+    # the lines of one "\n"-ended piece are parsed once all of it decodes
+    (b"t,roll,pitch,yaw\r0,0,x,0\r0.1,0,\xff,0\n", ":1: byte 0xff is not UTF-8 text"),
+], ids=["row_then_byte", "byte_then_row", "one_piece"])
+def test_table_reader_raises_the_first_problem_in_file_order(tmp_path, raw, message):
+    path = tmp_path / "angles.csv"
+    path.write_bytes(raw)
+    with pytest.raises(DataError) as err:
+        read_table(path, 4)
+    assert str(err.value) == f"{path}{message}"
 
 
 class TestNonFiniteCells:
@@ -439,7 +456,7 @@ class TestConfigFile:
     def test_parse_and_override(self, tmp_path):
         path = tmp_path / "synth.cfg"
         path.write_text("# scenario\nduration = 3.5\nseed = 9\ngyro_noise=0.01\n\n")
-        cfg = synth_config_from_mapping(read_config_file(path))
+        cfg = SynthConfig(**synth_settings(read_config_file(path)))
         assert cfg.duration == 3.5
         assert cfg.seed == 9
         assert cfg.gyro_noise == 0.01
@@ -449,7 +466,7 @@ class TestConfigFile:
         path = tmp_path / "synth.cfg"
         path.write_text("not_a_key=1\n")
         with pytest.raises(ConfigError):
-            synth_config_from_mapping(read_config_file(path))
+            synth_settings(read_config_file(path))
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "synth.cfg"
@@ -461,7 +478,18 @@ class TestConfigFile:
     def test_unreadable_value_names_the_key(self, line):
         key, value = line.split("=")
         with pytest.raises(ConfigError, match=f"'{key}': cannot read '{value}'"):
-            synth_config_from_mapping({key: value})
+            synth_settings({key: value})
+
+    @pytest.mark.parametrize("raw, message", [
+        (b"duration=3\nrate 4\n\xff\n", ":2: expected key=value, got 'rate 4'"),
+        (b"duration=3\n\xff\nrate 4\n", ":2: byte 0xff is not UTF-8 text"),
+    ], ids=["line_then_byte", "byte_then_line"])
+    def test_first_problem_in_file_order(self, tmp_path, raw, message):
+        path = tmp_path / "synth.cfg"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError) as err:
+            read_config_file(path)
+        assert str(err.value) == f"{path}{message}"
 
     def test_non_utf8_byte_names_the_line(self, tmp_path):
         path = tmp_path / "synth.cfg"

@@ -105,7 +105,7 @@ _CSV_TEXT = st.one_of(st.text(max_size=200),
 @example(text="0" + ",1" * 12 + "\n1" + ",0" * 12 + "\n")
 def test_table_from_arbitrary_text(input_file, text):
     input_file.write_text(text, encoding="utf-8", newline="")
-    _only_danae_errors(read_table, input_file)
+    _only_danae_errors(lambda path: read_table(path, 4), input_file)
     _only_danae_errors(read_angle_csv, input_file)
     _only_danae_errors(read_imu_csv, input_file)
     _only_danae_errors(load_ucs, input_file)
@@ -135,9 +135,12 @@ _CONFIG_TEXT = st.text(st.sampled_from("ab=#1 \t\r\n"), max_size=60)
 
 
 @FUZZ
-@given(raw=_CSV_BYTES, columns=st.sampled_from([None, 2, 4]))
-# a bad cell before a byte that is not UTF-8, and line ends of every kind
-@example(raw=b"1,2\nx,2\n\xff\n", columns=None)
+@given(raw=_CSV_BYTES, columns=st.sampled_from([1, 2, 4]))
+# a bad cell before a byte that is not UTF-8 and the reverse, a bad cell and
+# a bad byte in one "\n"-ended piece, and line ends of every kind
+@example(raw=b"1,2\nx,2\n\xff\n", columns=2)
+@example(raw=b"1,2\n\xff\nx,2\n", columns=2)
+@example(raw=b"1,2\rx,2\r\xff\n", columns=2)
 @example(raw=b"t,a\r1,2\r\n\r3,4\r", columns=2)
 def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
     input_file.write_bytes(raw)
@@ -148,6 +151,7 @@ def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
 @FUZZ
 @given(raw=st.one_of(_CONFIG_TEXT.map(str.encode), _with_bytes(_CONFIG_TEXT)))
 @example(raw=b"a=1\rb\n\xff")
+@example(raw=b"a=1\n\xff\nb\n")
 def test_config_reader_matches_whole_file_reference(input_file, raw):
     input_file.write_bytes(raw)
     assert _outcome(read_config_file, input_file) == _outcome(read_config_reference,
