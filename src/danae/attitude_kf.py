@@ -10,6 +10,7 @@ responsible for whatever error is left.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -38,9 +39,12 @@ MIN_HORIZONTAL_MAG = 1e-9
 MAX_INNOVATION_COND = 1e14
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KfConfig:
-    """System matrices for the linear filter; everything defaults to identity."""
+    """System matrices for the linear filter; everything defaults to identity.
+    Checked when built, then frozen: each matrix is a read-only float64 copy
+    of the one passed in, dataclasses.replace(cfg, R=...) builds (and checks)
+    a changed model, and configs compare and hash by identity."""
 
     n: int = 3
     A: np.ndarray = None
@@ -54,16 +58,21 @@ class KfConfig:
         check_integer("n", self.n, 1)
         for name in ("A", "B", "C", "Q", "R", "P0"):
             m = getattr(self, name)
-            m = np.eye(self.n) if m is None else np.asarray(m, dtype=float)
+            m = np.eye(self.n) if m is None else np.array(m, dtype=float)
             if m.shape != (self.n, self.n):
                 raise ShapeError(f"{name} must be ({self.n}, {self.n}), got {m.shape}")
-            setattr(self, name, m)
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
         for name in ("Q", "R", "P0"):
             m = getattr(self, name)
             if not np.allclose(m, m.T):
                 raise InvalidInputError(f"{name} must be symmetric")
             if np.any(np.diag(m) < 0):
                 raise InvalidInputError(f"{name} must have a non-negative diagonal")
+
+
+# run_kf's config when none is given, shared so default runs share _gain entries
+_DEFAULT_CONFIG = KfConfig()
 
 
 @dataclass
@@ -187,43 +196,31 @@ def gyro_delta(gyro, roll: float, pitch: float, dt: float) -> np.ndarray:
     return euler_rate_matrix(roll, pitch) @ w * dt
 
 
-# kf_step's (K, P) by the bytes of (A, C, Q, R, P), oldest first; see _gain
-_GAIN_MEMO_SIZE = 256
-_gain_memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gain(cfg: KfConfig, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gain K and posterior covariance for the prior covariance P: the part
-    of kf_step that never reads u or y.
+@functools.lru_cache(maxsize=256)
+def _gain(cfg: KfConfig, prior: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only gain K and posterior covariance for the prior covariance P,
+    passed as P.tobytes(): the part of kf_step that never reads u or y.
 
     With a fixed model the recursion visits few distinct P, so results are
-    memoised by the bytes of (A, C, Q, R, P), at most _GAIN_MEMO_SIZE of
-    them, the oldest evicted first. A failure is not stored: it raises again
-    on every call. The returned P is the caller's own copy.
+    cached per config and P, the least recently used of 256 evicted first.
+    A failure is not cached: it raises again on every call.
     """
-    key = (cfg.A.tobytes() + cfg.C.tobytes() + cfg.Q.tobytes() + cfg.R.tobytes()
-           + P.tobytes())
-    hit = _gain_memo.get(key)
-    if hit is None:
-        P_pred = cfg.A @ P @ cfg.A.T + cfg.Q
-        S = cfg.C @ P_pred @ cfg.C.T + cfg.R
-        with np.errstate(all="ignore"):  # np.linalg.cond's value: inf for a singular S
-            s = np.linalg.svd(S, compute_uv=False)
-            cond = s[0] / s[-1] if s[-1] > 0 else np.inf
-        if not np.isfinite(cond) or cond > MAX_INNOVATION_COND:
-            raise NumericalError(
-                f"innovation covariance is not invertible (condition number {cond:.3e})"
-            )
-        # K = P'C^T S^-1 solved as S^T K^T = C P'^T, avoiding an explicit inverse
-        K = np.linalg.solve(S.T, cfg.C @ P_pred.T).T
-        P_new = (np.eye(cfg.n) - K @ cfg.C) @ P_pred
-        P_new = 0.5 * (P_new + P_new.T)
-        K.flags.writeable = P_new.flags.writeable = False
-        if len(_gain_memo) >= _GAIN_MEMO_SIZE:
-            del _gain_memo[next(iter(_gain_memo))]
-        hit = _gain_memo[key] = (K, P_new)
-    K, P_new = hit
-    return K, P_new.copy()
+    P = np.frombuffer(prior).reshape(cfg.n, cfg.n)
+    P_pred = cfg.A @ P @ cfg.A.T + cfg.Q
+    S = cfg.C @ P_pred @ cfg.C.T + cfg.R
+    with np.errstate(all="ignore"):  # np.linalg.cond's value: inf for a singular S
+        s = np.linalg.svd(S, compute_uv=False)
+        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+    if not np.isfinite(cond) or cond > MAX_INNOVATION_COND:
+        raise NumericalError(
+            f"innovation covariance is not invertible (condition number {cond:.3e})"
+        )
+    # K = P'C^T S^-1 solved as S^T K^T = C P'^T, avoiding an explicit inverse
+    K = np.linalg.solve(S.T, cfg.C @ P_pred.T).T
+    P_new = (np.eye(cfg.n) - K @ cfg.C) @ P_pred
+    P_new = 0.5 * (P_new + P_new.T)
+    K.flags.writeable = P_new.flags.writeable = False
+    return K, P_new
 
 
 def kf_step(state: KfState, cfg: KfConfig, u, y) -> KfState:
@@ -231,15 +228,15 @@ def kf_step(state: KfState, cfg: KfConfig, u, y) -> KfState:
 
     x' = Ax + Bu, P' = APA^T + Q, K = P'C^T (CP'C^T + R)^-1,
     x = x' + K(y - Cx'), P = (I - KC)P' with P symmetrized.
-    K and P do not depend on u or y, and are memoised (see _gain).
+    K and P do not depend on u or y, and are cached (see _gain).
     """
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if u.shape[0] != cfg.n or y.shape[0] != cfg.n:
         raise ShapeError(f"u and y must have dimension {cfg.n}")
     x_pred = cfg.A @ state.x + cfg.B @ u
-    K, P_new = _gain(cfg, state.P)
-    return KfState(x_pred + K @ (y - cfg.C @ x_pred), P_new)
+    K, P_new = _gain(cfg, state.P.tobytes())
+    return KfState(x_pred + K @ (y - cfg.C @ x_pred), P_new.copy())
 
 
 def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
@@ -256,7 +253,7 @@ def run_kf(series: ImuSeries, cfg: KfConfig | None = None) -> AngleSeries:
     anywhere in the series, even one written after construction, raises
     InvalidInputError naming its sample and column.
     """
-    cfg = KfConfig() if cfg is None else cfg
+    cfg = _DEFAULT_CONFIG if cfg is None else cfg
     if cfg.n != 3:
         raise InvalidInputError("run_kf requires a 3-state configuration")
     if len(series) < 2:

@@ -2,11 +2,11 @@
 
 The synth, train and eval stages each have one implementation, which the
 per-phase commands and `pipeline` share. Exit codes: 0 success, 2
-usage/config error, 3 data error, 4 numerical failure. Every command that
-writes files also writes a run manifest (resolved configuration,
-input/output paths, seed, version, wall-clock duration) beside them; `eval`
-without output flags writes none. DANAE_SEED in the environment overrides
-default seeds; an explicit --seed flag wins over both.
+usage/config error or out of memory, 3 data error, 4 numerical failure.
+Every command that writes files also writes a run manifest (resolved
+configuration, input/output paths, seed, version, wall-clock duration)
+beside them; `eval` without output flags writes none. DANAE_SEED in the
+environment overrides default seeds; an explicit --seed flag wins over both.
 """
 
 from __future__ import annotations
@@ -400,6 +400,9 @@ def main(argv=None) -> int:
     except NumericalError as err:
         log.error("%s", err)
         return EXIT_NUMERICAL
+    except MemoryError as err:
+        log.error("out of memory%s", f": {err}" if str(err) else "")
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -108,21 +108,23 @@ def _format_row(values) -> str:
 
 
 def _text_lines(path, error):
-    """The lines of a UTF-8 text file, one at a time and without their line
-    ends, split at "\n", "\r" and "\r\n" as text mode splits them; a byte
-    that is not UTF-8 raises `error` naming its file line. The lines of a
-    "\n"-ended piece come only once the whole piece has decoded."""
+    """The (number, line) pairs of a UTF-8 text file, one at a time and
+    without their line ends, split at "\n", "\r" and "\r\n" as text mode
+    splits them; a byte that is not UTF-8 raises `error` naming its line."""
+    number = 0
     with open(path, "rb") as fh:
-        # "\r" and "\n" never occur inside a UTF-8 sequence, so each
-        # "\n"-ended piece decodes on its own
-        for number, raw in enumerate(fh, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError as err:
-                raise error(f"{path}:{number}: byte {raw[err.start]:#04x} "
-                            f"is not UTF-8 text") from None
-            # "\r\n" is one line end, and so is a "\r" that ends the file
-            yield from text.removesuffix("\n").removesuffix("\r").split("\r")
+        for raw in fh:
+            # "\r\n" is one line end, and so is a "\r" that ends the file;
+            # "\r" never occurs inside a UTF-8 sequence, so each line decodes
+            # on its own
+            for piece in raw.removesuffix(b"\n").removesuffix(b"\r").split(b"\r"):
+                number += 1
+                try:
+                    line = piece.decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise error(f"{path}:{number}: byte {piece[err.start]:#04x} "
+                                f"is not UTF-8 text") from None
+                yield number, line
 
 
 def _is_header(cells) -> bool:
@@ -144,7 +146,7 @@ def read_table(path, expected_columns: int) -> np.ndarray:
     """
     path = Path(path)
     values = array("d")
-    for lineno, line in enumerate(_text_lines(path, DataError), start=1):
+    for lineno, line in _text_lines(path, DataError):
         text = line.strip()
         if not text:
             continue
@@ -328,6 +330,9 @@ class SynthConfig:
         count = self.duration * self.rate
         if not (math.isfinite(count) and round(count) >= 2):
             raise ConfigError(f"duration * rate must give at least 2 samples, got {count}")
+        if round(count) > np.iinfo(np.intp).max:
+            raise ConfigError(f"duration * rate must give at most {np.iinfo(np.intp).max} "
+                              f"samples, got {count}")
 
     @property
     def samples(self) -> int:
@@ -487,7 +492,7 @@ def read_config_file(path) -> dict[str, str]:
     """Parse a plain key=value file; '#' starts a comment, blank lines ignored.
     The first line without '=' or byte that is not UTF-8 raises ConfigError."""
     out: dict[str, str] = {}
-    for lineno, line in enumerate(_text_lines(path, ConfigError), start=1):
+    for lineno, line in _text_lines(path, ConfigError):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue

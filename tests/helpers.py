@@ -12,6 +12,7 @@ The checkpoint builders at the end feed the loaders' error tests.
 import io
 import json
 import math
+import re
 import struct
 from pathlib import Path
 
@@ -166,16 +167,17 @@ def relative_error(a, b):
 
 def _whole_file_lines(path, error):
     """(lines, byte error) of a whole decoded file: every line and None for
-    UTF-8 text; otherwise the lines before the "\n"-ended piece that holds
-    the first bad byte, and that byte's error."""
+    UTF-8 text; otherwise the lines before the text line that holds the
+    first bad byte, and that byte's error. "\r", "\n" and "\r\n" each end
+    one line."""
     raw = Path(path).read_bytes()
     try:
         return io.StringIO(raw.decode("utf-8"), newline=None).readlines(), None
     except UnicodeDecodeError as err:
-        line = raw.count(b"\n", 0, err.start) + 1
-        head = raw[:raw.rfind(b"\n", 0, err.start) + 1].decode("utf-8")
+        before = re.split(rb"\r\n|\r|\n", raw[:err.start])
+        head = raw[:err.start - len(before[-1])].decode("utf-8")
         return (io.StringIO(head, newline=None).readlines(),
-                error(f"{path}:{line}: byte {raw[err.start]:#04x} is not UTF-8 text"))
+                error(f"{path}:{len(before)}: byte {raw[err.start]:#04x} is not UTF-8 text"))
 
 
 def read_table_reference(path, expected_columns):

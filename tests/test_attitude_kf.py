@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,12 @@ def _random_problems(count=200):
                rng.normal(size=n))
 
 
+def _zero_config():
+    """A 1-state model with every matrix 0, so S = 0 (Q = R = P0 = 0 pass the checks)."""
+    zero = np.zeros((1, 1))
+    return KfConfig(n=1, A=zero, B=zero, C=zero, Q=zero, R=zero, P0=zero)
+
+
 class TestKfStep:
     def test_scalar_hand_example(self):
         # A=B=C=Q=R=1, x=0, P=1, u=0, y=1: P'=2, K=2/3, x=2/3, P=2/3
@@ -170,10 +177,7 @@ class TestKfStep:
         assert not np.allclose(new.P, state.P)
 
     def test_singular_innovation_rejected(self):
-        cfg = KfConfig.__new__(KfConfig)  # bypass validation to force Q=R=0
-        cfg.n = 1
-        cfg.A = cfg.B = cfg.C = np.zeros((1, 1))
-        cfg.Q = cfg.R = cfg.P0 = np.zeros((1, 1))
+        cfg = _zero_config()
         with pytest.raises(NumericalError, match="condition"):
             kf_step(KfState(np.zeros(1), np.zeros((1, 1))), cfg, [0.0], [0.0])
 
@@ -309,8 +313,8 @@ def _unmemoised_kf_step(state, cfg, u, y):
 
 class TestGainMemo:
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(attitude_kf, "_gain_memo", {})
+    def empty_cache(self):
+        attitude_kf._gain.cache_clear()
 
     def test_hits_and_misses_match_the_unmemoised_step_bit_for_bit(self):
         rng = np.random.default_rng(9)
@@ -320,25 +324,25 @@ class TestGainMemo:
                 want_x, want_P = _unmemoised_kf_step(KfState(x, P), cfg, u, y)
                 assert np.array_equal(got.x, want_x) and np.array_equal(got.P, want_P)
             # the second call was a hit: one entry per problem
-            assert len(attitude_kf._gain_memo) == min(count, attitude_kf._GAIN_MEMO_SIZE)
+            info = attitude_kf._gain.cache_info()
+            assert info.misses == count and info.currsize == min(count, info.maxsize)
 
     def test_memo_never_exceeds_its_bound(self):
         rng = np.random.default_rng(10)
         cfg = KfConfig()
-        for _ in range(attitude_kf._GAIN_MEMO_SIZE + 50):
+        maxsize = attitude_kf._gain.cache_info().maxsize
+        for _ in range(maxsize + 50):
             kf_step(KfState(np.zeros(3), random_spd(rng, 3)), cfg, np.zeros(3), np.ones(3))
-            assert len(attitude_kf._gain_memo) <= attitude_kf._GAIN_MEMO_SIZE
-        assert len(attitude_kf._gain_memo) == attitude_kf._GAIN_MEMO_SIZE
+            assert attitude_kf._gain.cache_info().currsize <= maxsize
+        assert attitude_kf._gain.cache_info().currsize == maxsize
 
-    def test_r_changed_in_place_changes_the_gain(self):
-        cfg = KfConfig()
-        state = KfState(np.zeros(3), np.eye(3))
-        before = kf_step(state, cfg, np.zeros(3), np.ones(3))
-        cfg.R[:] = 4.0 * np.eye(3)
-        after = kf_step(state, cfg, np.zeros(3), np.ones(3))
-        fresh = kf_step(state, KfConfig(R=4.0 * np.eye(3)), np.zeros(3), np.ones(3))
-        assert not np.allclose(after.x, before.x)
-        assert np.array_equal(after.x, fresh.x) and np.array_equal(after.P, fresh.P)
+    def test_second_default_run_kf_adds_no_misses(self):
+        imu, _ = _dropout_series()
+        first = run_kf(imu)
+        misses = attitude_kf._gain.cache_info().misses
+        again = run_kf(imu)
+        assert attitude_kf._gain.cache_info().misses == misses
+        assert np.array_equal(again.angles, first.angles)
 
     def test_mutating_a_returned_covariance_leaves_the_memo_alone(self):
         cfg = KfConfig()
@@ -350,14 +354,60 @@ class TestGainMemo:
         assert np.array_equal(again.P, want) and np.array_equal(again.x, first.x)
 
     def test_singular_innovation_raises_on_every_call(self):
-        cfg = KfConfig.__new__(KfConfig)  # bypass validation to force Q=R=0
-        cfg.n = 1
-        cfg.A = cfg.B = cfg.C = np.zeros((1, 1))
-        cfg.Q = cfg.R = cfg.P0 = np.zeros((1, 1))
+        cfg = _zero_config()
         for _ in range(3):
             with pytest.raises(NumericalError, match=r"condition number inf"):
                 kf_step(KfState(np.zeros(1), np.zeros((1, 1))), cfg, [0.0], [0.0])
-        assert not attitude_kf._gain_memo
+        assert attitude_kf._gain.cache_info().currsize == 0
+
+
+def _step(cfg):
+    return kf_step(KfState(np.zeros(3), np.eye(3)), cfg, np.zeros(3), np.ones(3))
+
+
+class TestFrozenConfig:
+    """Once KfConfig(...) returns, nothing written through it, its arrays or
+    the arrays passed in changes what kf_step computes."""
+
+    @pytest.mark.parametrize("name", ["A", "B", "C", "Q", "R", "P0"])
+    def test_matrix_write_raises(self, name):
+        cfg = KfConfig()
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cfg, name)[0, 0] = -1.0
+        assert np.array_equal(getattr(cfg, name), np.eye(3))
+
+    @pytest.mark.parametrize("name, value", [("n", 2), ("A", np.eye(2)), ("R", -np.eye(3))])
+    def test_field_assignment_raises(self, name, value):
+        cfg = KfConfig()
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+        assert cfg.n == 3 and np.array_equal(cfg.A, np.eye(3)) and np.array_equal(cfg.R, np.eye(3))
+
+    def test_array_passed_in_is_copied(self):
+        R = 4.0 * np.eye(3)
+        cfg = KfConfig(R=R)
+        want = _step(cfg)
+        R[:] = -1.0
+        assert R.flags.writeable and cfg.R is not R
+        assert np.array_equal(cfg.R, 4.0 * np.eye(3))
+        got = _step(cfg)
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.P, want.P)
+
+    def test_replace_equals_a_fresh_config(self):
+        cfg = KfConfig()
+        _step(cfg)  # a cache entry for cfg must not leak into the new config
+        got = _step(replace(cfg, R=4.0 * np.eye(3)))
+        want = _step(KfConfig(R=4.0 * np.eye(3)))
+        assert not np.array_equal(got.x, _step(cfg).x)
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.P, want.P)
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(InvalidInputError, match="non-negative diagonal"):
+            replace(KfConfig(), R=-np.eye(3))
+
+    def test_configs_compare_by_identity(self):
+        cfg = KfConfig()
+        assert cfg == cfg and cfg != KfConfig() and hash(cfg) == object.__hash__(cfg)
 
 
 def _dropout_series(share=0.02, seed=11):

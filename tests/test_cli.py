@@ -88,6 +88,16 @@ class TestSynth:
             assert run(command, "--out-dir", out, "--duration", duration) == 2
             assert not out.exists()
 
+    def test_out_of_memory_exits_2_with_one_error(self, tmp_path, monkeypatch, caplog):
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 745. GiB")
+        monkeypatch.setattr("danae.cli.synth_trajectory", no_memory)
+        out = tmp_path / "s"
+        assert run("synth", "--out-dir", out, "--duration", "1e9") == 2
+        assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("ERROR", "out of memory: Unable to allocate 745. GiB")]
+        assert not out.exists()
+
 
 class TestKf:
     def test_noiseless_run_matches_ground_truth(self, tmp_path):
@@ -307,9 +317,10 @@ class TestPipeline:
         ("--angles", "roll,roll"), ("--lr", "nan"), ("--lr", "-5"), ("--lr", "0"),
         # 30 samples: 24 to train on, 6 to denoise, fewer than one window
         ("--duration", "0.3", "--angles", "roll", "--epochs", "1"),
-        ("--seed", "-1"), ("--duration", "1e308", "--rate", "10"),
+        ("--seed", "-1"), ("--duration", "1e308", "--rate", "10"), ("--duration", "1e300"),
     ], ids=["stride_0", "epochs_0", "no_angle", "angle_twice", "lr_nan", "lr_negative",
-            "lr_0", "test_split_short", "seed_negative", "sample_count_overflow"])
+            "lr_0", "test_split_short", "seed_negative", "sample_count_overflow",
+            "sample_count_too_large"])
     def test_bad_setting_exits_2_before_synth(self, tmp_path, flags):
         out = tmp_path / "x"
         assert run("pipeline", "--out-dir", out, "--duration", "6", *flags) == 2
@@ -343,6 +354,7 @@ _BROKEN_SYNTH = {
     "synth_negative_seed": (b"", ["--seed", "-1"], "seed must be >= 0, got -1"),
     "synth_sample_count_overflow": (b"", ["--duration", "1e308", "--rate", "10"],
                                     "duration * rate"),
+    "synth_sample_count_too_large": (b"", ["--duration", "1e300"], "duration * rate"),
 }
 
 

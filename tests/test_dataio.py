@@ -198,9 +198,12 @@ def test_non_utf8_byte_names_the_line(tmp_path):
      ":3: could not convert string to float: 'x'"),
     (b"t,roll,pitch,yaw\n0,0,0,0\n0.1,0,\xff,0\n0.2,0,x,0\n",
      ":3: byte 0xff is not UTF-8 text"),
-    # the lines of one "\n"-ended piece are parsed once all of it decodes
-    (b"t,roll,pitch,yaw\r0,0,x,0\r0.1,0,\xff,0\n", ":1: byte 0xff is not UTF-8 text"),
-], ids=["row_then_byte", "byte_then_row", "one_piece"])
+    # "\r" ends a text line: a bad byte and a bad row are numbered and met
+    # in text-line order within one "\n"-ended piece too
+    (b"t,roll,pitch,yaw\r0,0,x,0\r0.1,0,\xff,0\n",
+     ":2: could not convert string to float: 'x'"),
+    (b"t,roll,pitch,yaw\r\n0,0,0,0\r0.1,0,\xff,0\r0.2,x,0,0\n", ":3: byte 0xff is not UTF-8 text"),
+], ids=["row_then_byte", "byte_then_row", "one_piece", "byte_on_cr_line"])
 def test_table_reader_raises_the_first_problem_in_file_order(tmp_path, raw, message):
     path = tmp_path / "angles.csv"
     path.write_bytes(raw)

@@ -136,11 +136,12 @@ _CONFIG_TEXT = st.text(st.sampled_from("ab=#1 \t\r\n"), max_size=60)
 
 @FUZZ
 @given(raw=_CSV_BYTES, columns=st.sampled_from([1, 2, 4]))
-# a bad cell before a byte that is not UTF-8 and the reverse, a bad cell and
-# a bad byte in one "\n"-ended piece, and line ends of every kind
+# a bad cell before a byte that is not UTF-8 and the reverse, both orders
+# in one "\n"-ended piece of "\r"-ended lines, and line ends of every kind
 @example(raw=b"1,2\nx,2\n\xff\n", columns=2)
 @example(raw=b"1,2\n\xff\nx,2\n", columns=2)
 @example(raw=b"1,2\rx,2\r\xff\n", columns=2)
+@example(raw=b"1,2\r\xff\rx,2\n", columns=2)
 @example(raw=b"t,a\r1,2\r\n\r3,4\r", columns=2)
 def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
     input_file.write_bytes(raw)
@@ -151,6 +152,7 @@ def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
 @FUZZ
 @given(raw=st.one_of(_CONFIG_TEXT.map(str.encode), _with_bytes(_CONFIG_TEXT)))
 @example(raw=b"a=1\rb\n\xff")
+@example(raw=b"a=1\r\xff\rb\n")
 @example(raw=b"a=1\n\xff\nb\n")
 def test_config_reader_matches_whole_file_reference(input_file, raw):
     input_file.write_bytes(raw)
