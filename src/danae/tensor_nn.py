@@ -2,9 +2,12 @@
 
 Everything is float64 numpy. A Tensor wraps a value array plus a gradient
 slot; operations build a reverse-mode graph and backward() walks it once in
-topological order. Activations are (channels, length) arrays, optionally
-with a trailing batch axis; parameters reuse the same Tensor type with their
-natural shapes.
+topological order. Each node's backward function owns the gradient array it
+is handed and may overwrite it or pass it on to a parent (the rectifier
+scales it in place); backward() empties an intermediate node's slot as it
+hands the gradient over, so only leaves keep gradients. Activations are
+(channels, length) arrays, optionally with a trailing batch axis;
+parameters reuse the same Tensor type with their natural shapes.
 
 The operations also take plain arrays: when no argument is a Tensor they
 return a plain array and build no graph node or closure, so inference keeps
@@ -288,12 +291,14 @@ def activation(x: Tensor | np.ndarray, out: np.ndarray | None = None) -> Tensor 
     y = np.maximum(xd, LEAKY_SLOPE * xd, out=out)
     if not isinstance(x, Tensor):
         return y
-    # the graph keeps a 1-byte mask; choosing g or LEAKY_SLOPE * g by it is
-    # bit for bit g * where(x > 0, 1.0, LEAKY_SLOPE), signed zeros included
+    # the graph keeps a 1-byte mask; scaling g by LEAKY_SLOPE where it is
+    # False is bit for bit g * where(x > 0, 1.0, LEAKY_SLOPE), signed zeros
+    # included, and rectifies the owned g in place
     positive = xd > 0
 
     def backward_fn(g):
-        _accumulate(x, np.where(positive, g, LEAKY_SLOPE * g), owned=True)
+        np.multiply(g, LEAKY_SLOPE, out=g, where=~positive)
+        _accumulate(x, g, owned=True)
 
     return Tensor(y, (x,), backward_fn)
 
@@ -312,7 +317,9 @@ def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray,
         return y
 
     def backward_fn(g):
-        for t in parents:
+        # g is owned: the first parent takes it, any other gets a copy
+        _accumulate(parents[0], g, owned=True)
+        for t in parents[1:]:
             _accumulate(t, g)
 
     return Tensor(y, parents, backward_fn)
@@ -328,15 +335,20 @@ def l2_loss(pred: Tensor, target) -> Tensor:
 
     def backward_fn(g):
         scaled = (2.0 / n) * float(g) * diff
-        _accumulate(pred, scaled)
+        _accumulate(pred, scaled, owned=True)
         if isinstance(target, Tensor):
-            _accumulate(target, -scaled)
+            _accumulate(target, -scaled, owned=True)
 
     return Tensor(np.mean(diff * diff), _tensor_parents(pred, target), backward_fn)
 
 
 def backward(root: Tensor) -> None:
-    """Propagate d(root)/d(node) into every reachable grad slot, additively."""
+    """Add d(root)/d(leaf) into the grad slot of every reachable leaf.
+
+    Leaves (parameters and inputs) keep their gradients, added to what their
+    slots held; an intermediate node's slot is freed once its gradient has
+    been passed on, so a second call on one graph adds the same amount again.
+    """
     if root._backward_fn is None and not root._parents:
         raise StateError("backward called on a leaf: run a forward computation first")
     if root.data.size != 1:
@@ -359,7 +371,9 @@ def backward(root: Tensor) -> None:
     _accumulate(root, np.ones_like(root.data), owned=True)
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
-            node._backward_fn(node.grad)
+            # the backward function owns the gradient it is handed
+            g, node.grad = node.grad, None
+            node._backward_fn(g)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ These deliberately avoid the library's code paths: the Kalman reference
 inverts matrices by adjugate/cofactor expansion instead of linear solves,
 the filter reference runs the measurement model and gyro kinematics one
 sample at a time in scalar `math`, and the convolution reference is a
-direct triple loop over channels and taps. The CSV and config readers
+direct triple loop over channels and taps. The backward reference keeps
+every node's gradient slot and hands each backward function a copy of it.
+The CSV and config readers
 decode the whole file, then split it into lines, before parsing any row.
 The checkpoint builders at the end feed the loaders' error tests.
 """
@@ -152,6 +154,32 @@ def conv1d_transposed_reference(x, w, bias, padding, dilation):
     if bias is not None:
         y += np.asarray(bias)[:, None]
     return y
+
+
+def backward_reference(root):
+    """tensor_nn.backward with every reachable grad slot kept: the same
+    depth-first topological order, and each backward function is handed a
+    copy of its node's gradient, so no slot is freed or overwritten."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((parent, False) for parent in node._parents
+                     if id(parent) not in seen)
+    ones = np.ones_like(root.data)
+    if root.grad is None:
+        root.grad = ones
+    else:
+        root.grad += ones
+    for node in reversed(topo):
+        if node._backward_fn is not None and node.grad is not None:
+            node._backward_fn(node.grad.copy())
 
 
 def random_spd(rng, n, scale=1.0):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from danae.danae_model import DEFAULT_WINDOW, _run, build_model
 from danae.errors import ConfigError, DataError, ShapeError, StateError
 from danae.tensor_nn import (
     LEAKY_SLOPE,
@@ -19,6 +20,7 @@ from danae.tensor_nn import (
 )
 
 from helpers import (
+    backward_reference,
     conv1d_reference,
     conv1d_transposed_reference,
     header_only_checkpoint,
@@ -181,7 +183,8 @@ class TestActivation:
         for x, g in (grid, (x, g)):
             xt = Tensor(x)
             y = activation(xt)
-            y._backward_fn(g)
+            # a backward function overwrites the gradient it is handed
+            y._backward_fn(g.copy())
             assert xt.grad.tobytes() == (g * np.where(x > 0, 1.0, LEAKY_SLOPE)).tobytes()
 
 
@@ -206,6 +209,41 @@ class TestL2Loss:
         loss = l2_loss(pred, [[0.0, 0.0]])
         backward(loss)
         assert np.allclose(pred.grad, [[1.0, 2.0]])  # 2 * diff / N
+
+
+def _danae_model(rng):
+    model = build_model(int(rng.integers(1000)), channels=4)
+    x = Tensor(rng.normal(size=(1, DEFAULT_WINDOW, 3)))
+    return l2_loss(_run(model, x), rng.normal(size=(1, DEFAULT_WINDOW, 3))), \
+        [*model.parameters(), x]
+
+
+def _conv_added_to_itself(rng):
+    spec = ConvSpec(2, 3, 3, padding=1)
+    w, b = Tensor(rng.normal(size=spec.weight_shape())), Tensor(rng.normal(size=3))
+    x = Tensor(rng.normal(size=(2, 7)))
+    y = conv1d(x, w, b, spec)
+    return l2_loss(add(y, y), rng.normal(size=(3, 7))), [w, b, x]
+
+
+def _leaf_added_to_itself(rng):
+    a = Tensor(rng.normal(size=(2, 5)))
+    return l2_loss(add(a, a), rng.normal(size=(2, 5))), [a]
+
+
+def _leaf_read_by_two_activations(rng):
+    x = Tensor(rng.normal(size=(3, 6)))
+    return l2_loss(add(activation(x), activation(x)), rng.normal(size=(3, 6))), [x]
+
+
+def _tensor_target(rng):
+    pred, target = Tensor(rng.normal(size=(2, 4))), Tensor(rng.normal(size=(2, 4)))
+    return l2_loss(activation(pred), target), [pred, target]
+
+
+# graphs as (loss, leaves) builders, fresh leaves on every call
+_GRAPHS = (_danae_model, _conv_added_to_itself, _leaf_added_to_itself,
+           _leaf_read_by_two_activations, _tensor_target)
 
 
 class TestBackward:
@@ -280,6 +318,45 @@ class TestBackward:
         slope = np.where(x.data > 0, 1.0, 0.01)
         per_path = (2.0 / x.data.size) * (y + y - target) * slope
         assert np.array_equal(x.grad, per_path + per_path)
+
+    def test_second_backward_on_one_graph_adds_once(self):
+        # intermediate slots are emptied as their gradients are passed on, so
+        # a second call adds the first call's leaf gradients once more, not
+        # again everything the first call left along the graph
+        rng = np.random.default_rng(16)
+        spec = ConvSpec(2, 3, 3, padding=1)
+        leaves = [Tensor(rng.normal(size=spec.weight_shape())), Tensor(rng.normal(size=3)),
+                  Tensor(rng.normal(size=(2, 7)))]
+        loss = l2_loss(activation(conv1d(leaves[2], leaves[0], leaves[1], spec)),
+                       rng.normal(size=(3, 7)))
+        backward(loss)
+        first = [t.grad.copy() for t in leaves]
+        backward(loss)
+        for t, g in zip(leaves, first):
+            assert np.array_equal(t.grad, 2.0 * g)
+
+    @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda f: f.__name__[1:])
+    def test_leaf_gradients_bit_equal_to_keeping_every_slot(self, graph):
+        loss, leaves = graph(np.random.default_rng(17))
+        backward(loss)
+        ref_loss, ref_leaves = graph(np.random.default_rng(17))
+        backward_reference(ref_loss)
+        for t, ref in zip(leaves, ref_leaves):
+            assert t.grad.tobytes() == ref.grad.tobytes()
+
+    @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda f: f.__name__[1:])
+    def test_only_leaves_keep_gradients(self, graph):
+        loss, leaves = graph(np.random.default_rng(18))
+        backward(loss)
+        assert all(t.grad is not None for t in leaves)
+        nodes, stack = {}, [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        inner = [n for n in nodes.values() if n._backward_fn is not None]
+        assert inner and all(n.grad is None for n in inner)
 
 
 def _single_pass_grad():
