@@ -127,6 +127,20 @@ def _train_angle(kf, gt, angle: str, stride: int, cfg: TrainConfig,
     return model, len(windows)
 
 
+def _check_time_axis(ref_path, ref, path, series) -> None:
+    """Raise DataError unless two angle files hold the same timestamps: the
+    same length, and equal at each sample. Files written here share t bit
+    for bit, because 17-digit cells read back exactly."""
+    if len(series) != len(ref):
+        raise DataError(f"series lengths disagree: {path} has {len(series)} samples, "
+                        f"{ref_path} has {len(ref)}")
+    bad = np.flatnonzero(series.t != ref.t)
+    if bad.size:
+        i = bad[0]
+        raise DataError(f"time axes disagree: {path} has t = {series.t[i]:.17g} at data "
+                        f"row {i + 1}, {ref_path} has t = {ref.t[i]:.17g}")
+
+
 def _evaluate(kf, danae, gt, wrap: bool, report, report_csv, plot_data) -> list:
     """Print the report, write each output given a path; the paths written."""
     result = build_report(kf, danae, gt, wrap=wrap)
@@ -229,8 +243,9 @@ def cmd_train(args):
     cfg = _train_config(args, _resolve_seed(args.seed, 0))
     out = Path(args.out)
     loss_path = Path(args.loss_log or f"{out}.loss.csv")
-    _, windows = _train_angle(read_angle_csv(args.kf), read_angle_csv(args.gt), args.angle,
-                              args.stride, cfg, out, loss_path)
+    kf, gt = read_angle_csv(args.kf), read_angle_csv(args.gt)
+    _check_time_axis(args.kf, kf, args.gt, gt)
+    _, windows = _train_angle(kf, gt, args.angle, args.stride, cfg, out, loss_path)
     return (Path(f"{out}.manifest.json"),
             {**dataclasses.asdict(cfg), "angle": args.angle, "stride": args.stride,
              "windows": windows},
@@ -253,11 +268,8 @@ def cmd_denoise(args):
 
 def cmd_eval(args):
     kf, danae, gt = (read_angle_csv(path) for path in (args.kf, args.danae, args.gt))
-    # files that disagree are a data error, not the ShapeError evalkit raises
     for path, series in ((args.danae, danae), (args.gt, gt)):
-        if len(series) != len(kf):
-            raise DataError(f"series lengths disagree: {path} has {len(series)} samples, "
-                            f"{args.kf} has {len(kf)}")
+        _check_time_axis(args.kf, kf, path, series)
     outputs = _evaluate(kf, danae, gt, args.wrap, args.report, args.report_csv,
                         args.plot_data)
     if not outputs:

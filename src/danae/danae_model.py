@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import repeat
 
 import numpy as np
@@ -312,16 +312,7 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
 # checkpoints
 
 def _layer_meta(name: str, spec: ConvSpec, activate: bool) -> dict:
-    return {
-        "name": name,
-        "in_channels": spec.in_channels,
-        "out_channels": spec.out_channels,
-        "kernel_size": spec.kernel_size,
-        "dilation": spec.dilation,
-        "padding": spec.padding,
-        "transposed": spec.transposed,
-        "activate": activate,
-    }
+    return {"name": name, **asdict(spec), "activate": activate}
 
 
 def save_model(path, model: DanaeModel, angle_id=None) -> None:

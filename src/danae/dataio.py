@@ -103,28 +103,21 @@ def euler_to_quat(angles: EulerAngles) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # CSV plumbing
 
-def _format_row(values) -> str:
-    return ",".join(f"{v:.17g}" for v in values)
-
-
 def _text_lines(path, error):
     """The (number, line) pairs of a UTF-8 text file, one at a time and
-    without their line ends, split at "\n", "\r" and "\r\n" as text mode
-    splits them; a byte that is not UTF-8 raises `error` naming its line."""
-    number = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            # "\r\n" is one line end, and so is a "\r" that ends the file;
-            # "\r" never occurs inside a UTF-8 sequence, so each line decodes
-            # on its own
-            for piece in raw.removesuffix(b"\n").removesuffix(b"\r").split(b"\r"):
-                number += 1
-                try:
-                    line = piece.decode("utf-8")
-                except UnicodeDecodeError as err:
-                    raise error(f"{path}:{number}: byte {piece[err.start]:#04x} "
-                                f"is not UTF-8 text") from None
-                yield number, line
+    without their line ends. Text mode splits lines at "\n", "\r" and
+    "\r\n"; surrogateescape decodes each byte that is not UTF-8 to one of
+    U+DC80..U+DCFF, which strict UTF-8 never yields, so a line that does not
+    encode back raises `error` naming the line and its first such byte."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for number, line in enumerate(fh, start=1):
+            line = line.removesuffix("\n")
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as err:
+                raise error(f"{path}:{number}: byte {ord(line[err.start]) - 0xDC00:#04x} "
+                            f"is not UTF-8 text") from None
+            yield number, line
 
 
 def _is_header(cells) -> bool:
@@ -181,18 +174,12 @@ def _check_monotonic(path, t):
         )
 
 
-# rows _write_table turns into Python floats at a time
-_WRITE_BLOCK = 1024
-
-
 def _write_table(path, header: str, table: np.ndarray) -> None:
-    """A header line, then each table row as 17-significant-digit cells,
-    formatted _WRITE_BLOCK rows at a time."""
+    """A header line, then each table row as 17-significant-digit cells.
+    savetxt gets an open file: given a path, it would compress by the
+    file's extension (.gz, .bz2, .xz)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(table), _WRITE_BLOCK):
-            fh.writelines(_format_row(row) + "\n"
-                          for row in table[lo:lo + _WRITE_BLOCK].tolist())
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def write_angle_csv(path, series: AngleSeries) -> None:

@@ -7,7 +7,8 @@ sample at a time in scalar `math`, and the convolution reference is a
 direct triple loop over channels and taps. The backward reference keeps
 every node's gradient slot and hands each backward function a copy of it.
 The CSV and config readers
-decode the whole file, then split it into lines, before parsing any row.
+decode the whole file, then split it into lines, before parsing any row;
+the table writer formats each cell with an f-string.
 The checkpoint builders at the end feed the loaders' error tests.
 """
 
@@ -242,6 +243,15 @@ def read_table_reference(path, expected_columns):
     if not rows:
         raise DataError(f"{path}: no data rows")
     return np.array(rows)
+
+
+def write_table_reference(path, header, table):
+    """dataio._write_table as a plain loop: the header line, then each row's
+    cells as 17 significant digits joined by commas."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in np.asarray(table).tolist():
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def read_config_reference(path):

@@ -275,6 +275,30 @@ class TestEval:
                    "--gt", trained["gt"]) == 3
 
 
+@pytest.mark.parametrize("fault", ["short", "shifted"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_gt_on_another_time_axis_exits_3(trained, tmp_path, caplog, command, fault):
+    lines = _lines(trained["gt"])
+    if fault == "short":
+        lines = lines[:-10]
+    else:  # every timestamp 5 s late
+        lines[1:] = [f"{float(t) + 5.0!r},{rest}"
+                     for t, rest in (line.split(",", 1) for line in lines[1:])]
+    gt = _write(tmp_path / "gt.csv", lines)
+    kf, out = trained["kf"], tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--kf", kf, "--gt", gt, "--angle", "roll", "--epochs", "1",
+                "--out", out]
+    else:
+        argv = ["eval", "--kf", kf, "--danae", kf, "--gt", gt, "--report-csv", out]
+    assert run(*argv) == 3
+    assert not out.exists()
+    message = (f"series lengths disagree: {gt} has {len(lines) - 1} samples, {kf} has"
+               if fault == "short" else
+               f"time axes disagree: {gt} has t = 5 at data row 1, {kf} has t = 0")
+    assert message in caplog.text
+
+
 class TestPipeline:
     def test_small_end_to_end_run(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -307,6 +331,10 @@ class TestPipeline:
                    "--out", denoised) == 0
         assert model.read_bytes() == (out / "model_roll.ckpt").read_bytes()
         assert denoised.read_bytes() == (out / "danae_test.csv").read_bytes()
+        report = tmp_path / "report.csv"
+        assert run("eval", "--kf", out / "kf_test.csv", "--danae", out / "danae_test.csv",
+                   "--gt", out / "gt_test.csv", "--report-csv", report) == 0
+        assert report.read_bytes() == (out / "report.csv").read_bytes()
 
     def test_unknown_angle_exits_2(self, tmp_path):
         assert run("pipeline", "--out-dir", tmp_path / "x", "--duration", "6",

@@ -185,6 +185,13 @@ class TestCsvRoundTrip:
             "4.9406564584124654e-324,1.0000000000000001e+300,-0\n"
         ).encode()
 
+    @pytest.mark.parametrize("name", ["angles.csv.gz", "angles.csv.bz2", "angles.csv.xz"])
+    def test_compression_suffix_still_writes_plain_text(self, tmp_path, name):
+        series = AngleSeries([0.0, 0.5], [[0.25, -0.0, 1.0], [2.0, 3.0, -4.0]])
+        write_angle_csv(tmp_path / name, series)
+        assert (tmp_path / name).read_bytes() == b"t,roll,pitch,yaw\n0,0.25,-0,1\n0.5,2,3,-4\n"
+        assert read_angle_csv(tmp_path / name).angles.tobytes() == series.angles.tobytes()
+
 
 def test_non_utf8_byte_names_the_line(tmp_path):
     path = tmp_path / "imu.csv"

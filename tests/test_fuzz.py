@@ -1,6 +1,8 @@
 """Property tests: the file readers and the dataset loaders let only
 DanaeError subclasses escape, whatever bytes or text they are given, so the
-CLI maps every bad file to an exit code instead of a traceback.
+CLI maps every bad file to an exit code instead of a traceback. The table
+writer gives the reference writer's bytes on any finite table, and what it
+writes reads back exactly.
 
 hypothesis is a test-only dependency; without it this module is skipped and
 the package still needs numpy alone.
@@ -9,6 +11,7 @@ the package still needs numpy alone.
 import json
 import struct
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -17,12 +20,13 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from danae.danae_model import build_model, load_model, save_model  # noqa: E402
-from danae.dataio import (load_oxiod, load_ucs, read_angle_csv,  # noqa: E402
-                          read_config_file, read_imu_csv, read_table)
+from danae.dataio import (_write_table, load_oxiod, load_ucs,  # noqa: E402
+                          read_angle_csv, read_config_file, read_imu_csv, read_table)
 from danae.errors import DanaeError  # noqa: E402
 from danae.tensor_nn import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, read_checkpoint  # noqa: E402
 
-from helpers import read_config_reference, read_table_reference  # noqa: E402
+from helpers import (read_config_reference, read_table_reference,  # noqa: E402
+                     write_table_reference)
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -158,3 +162,42 @@ def test_config_reader_matches_whole_file_reference(input_file, raw):
     input_file.write_bytes(raw)
     assert _outcome(read_config_file, input_file) == _outcome(read_config_reference,
                                                              input_file)
+
+
+def _tables(min_rows):
+    """Finite float64 tables of 1 to 5 columns; subnormals and signed zeros
+    included."""
+    cell = st.floats(allow_nan=False, allow_infinity=False)
+    return st.integers(1, 5).flatmap(lambda cols: st.lists(
+        st.lists(cell, min_size=cols, max_size=cols), min_size=min_rows, max_size=8,
+    ).map(lambda rows: np.array(rows, dtype=float).reshape(-1, cols)))
+
+
+def _column_names(table):
+    return ",".join(f"c{k}" for k in range(table.shape[1]))
+
+
+_EXTREMES = np.array([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]])
+
+
+@FUZZ
+@given(table=_tables(min_rows=0))
+@example(table=_EXTREMES)
+# a loss log: the whole-number epoch column beside the losses
+@example(table=np.column_stack([np.arange(1, 4), [0.5, 1e-3, 2.5e-7]]))
+@example(table=np.empty((0, 4)))
+@example(table=np.array([[1.0], [-2.0]]))
+def test_table_writer_matches_reference_writer(input_file, table):
+    reference = input_file.with_name("reference")
+    _write_table(input_file, _column_names(table), table)
+    write_table_reference(reference, _column_names(table), table)
+    assert input_file.read_bytes() == reference.read_bytes()
+
+
+@FUZZ
+@given(table=_tables(min_rows=1))
+@example(table=_EXTREMES)
+def test_table_write_read_round_trip_is_exact(input_file, table):
+    _write_table(input_file, _column_names(table), table)
+    got = read_table(input_file, table.shape[1])
+    assert got.shape == table.shape and got.tobytes() == table.tobytes()
