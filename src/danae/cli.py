@@ -254,7 +254,11 @@ def cmd_train(args):
 
 def cmd_denoise(args):
     model, meta = load_model(args.model)
-    angle = args.angle or meta.get("angle")
+    recorded = meta.get("angle")
+    if args.angle and recorded and args.angle != recorded:
+        raise ConfigError(f"{args.model}: checkpoint records angle {recorded}, "
+                          f"but --angle is {args.angle}")
+    angle = args.angle or recorded
     if angle is None:
         raise ConfigError("checkpoint does not record an angle; pass --angle")
     estimates = read_angle_csv(args.kf)
@@ -324,9 +328,8 @@ def cmd_pipeline(args):
                          report=out_dir / "report.txt", report_csv=out_dir / "report.csv",
                          plot_data=out_dir / "plot_data.csv")
     return (out_dir / "manifest.json",
-            {**dataclasses.asdict(cfg), "epochs": args.epochs, "stride": args.stride,
-             "angles": angles, "train_fraction": args.train_fraction,
-             "batch_size": args.batch_size, "lr": args.lr},
+            {**dataclasses.asdict(cfg), **dataclasses.asdict(train_cfg),
+             "stride": args.stride, "angles": angles, "train_fraction": args.train_fraction},
             {}, outputs, cfg.seed)
 
 

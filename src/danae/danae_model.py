@@ -12,6 +12,9 @@ shipped build):
     skip rule std_i consumes enc_i's output summed with the decoder stream
               (std0's decoder stream is enc3's output)
 
+A DanaeModel is these layers by name, in this order; the name's prefix
+(enc, std, up) is the layer's role in the wiring.
+
 Every layer pads to preserve the window length (padding = dilation for the
 dilated layers), so all skip sums are shape-aligned. Hidden layers use the
 leaky rectifier; the final conv is linear because angles are unbounded.
@@ -22,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import asdict, dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -87,25 +89,19 @@ class ConvLayer:
 
 @dataclass
 class DanaeModel:
-    """Parameter container; see the module docstring for the wiring."""
+    """The layers by name, in _architecture's forward order; see the module
+    docstring for the wiring."""
 
-    encoder: list[ConvLayer]
-    decoder_up: list[ConvLayer]
-    decoder_std: list[ConvLayer]
+    by_name: dict[str, ConvLayer]
 
     @property
     def channels(self) -> int:
         """The hidden width: enc0's output channels."""
-        return self.encoder[0].spec.out_channels
+        return self.by_name["enc0"].spec.out_channels
 
-    def layers(self) -> list[tuple[str, ConvLayer]]:
+    def layers(self):
         """(name, layer) pairs in forward-execution order."""
-        named = [(f"enc{i}", l) for i, l in enumerate(self.encoder)]
-        for i, std in enumerate(self.decoder_std):
-            named.append((f"std{i}", std))
-            if i < len(self.decoder_up):
-                named.append((f"up{i}", self.decoder_up[i]))
-        return named
+        return self.by_name.items()
 
     def parameters(self) -> list[Tensor]:
         params = []
@@ -146,6 +142,7 @@ def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
 
     This table is the only description of the architecture: build_model
     draws its weights over it and load_model checks checkpoints against it.
+    Both fill a DanaeModel's layers straight from its rows.
     """
     c = channels
     rows = [(f"enc{i}", ConvSpec(1 if i == 0 else c, c, dilation=d, padding=d), True)
@@ -157,13 +154,6 @@ def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
     return rows
 
 
-def _assemble(layers: list[ConvLayer]) -> DanaeModel:
-    """A DanaeModel from layers in _architecture order: the encoder first,
-    then std and up layers alternating."""
-    n = len(ENCODER_DILATIONS)
-    return DanaeModel(layers[:n], layers[n + 1::2], layers[n::2])
-
-
 def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
     """Construct the denoiser with seed-determined initial weights.
 
@@ -173,37 +163,38 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
     """
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    layers = []
-    for _, spec, activate in _architecture(channels):
+    layers = {}
+    for name, spec, activate in _architecture(channels):
         # zero-mean uniform with scale 1/sqrt(fan_in), fan_in = in_channels * k
         scale = 1.0 / np.sqrt(spec.in_channels * spec.kernel_size)
         weight = Tensor(rng.uniform(-scale, scale, spec.weight_shape()))
-        layers.append(ConvLayer(spec, weight, Tensor(np.zeros(spec.out_channels)), activate))
-    return _assemble(layers)
+        layers[name] = ConvLayer(spec, weight, Tensor(np.zeros(spec.out_channels)), activate)
+    return DanaeModel(layers)
 
 
 def _run(model: DanaeModel, x: Tensor | np.ndarray,
-         out: list[np.ndarray] | None = None) -> Tensor | np.ndarray:
+         out: dict[str, np.ndarray] | None = None) -> Tensor | np.ndarray:
     """The forward pass; the only description of the skip wiring.
 
-    For a plain array x, `out` may give the destinations: one per layer in
-    model.layers() order, then one for the skip sums. The result is then the
-    last layer's destination.
+    The layers run in model.layers() order, each on the stream. An enc*
+    output is kept as a skip, and a std* layer first adds the oldest unused
+    skip to the stream: std0 takes enc0 + enc3, std1 enc1 + up0's output.
+
+    For a plain array x, `out` may give the destinations: one per layer
+    name, and "sum" for the skip sums. The result is then the last layer's
+    destination.
     """
-    layer_out = iter(out[:-1]) if out else repeat(None)
-    skip_sum = out[-1] if out else None
+    out = out or {}
     skips = []
     h = x
-    for layer in model.encoder:
-        h = layer(h, next(layer_out))
-        skips.append(h)
-    d = skips[-1]
-    for i, std in enumerate(model.decoder_std):
-        # std_i has consumed the previous sum before the next one is written
-        d = std(add(skips[i], d, out=skip_sum), next(layer_out))
-        if i < len(model.decoder_up):
-            d = model.decoder_up[i](d, next(layer_out))
-    return d
+    for name, layer in model.layers():
+        if name.startswith("std"):
+            # the previous std has consumed its sum before this one is written
+            h = add(skips.pop(0), h, out=out.get("sum"))
+        h = layer(h, out.get(name))
+        if name.startswith("enc"):
+            skips.append(h)
+    return h
 
 
 def forward(model: DanaeModel, window) -> Tensor:
@@ -265,11 +256,11 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
     Each chunk of DENOISE_CHUNK windows runs through the model as a plain
     array, so no autograd graph is built, and each layer writes its output
     into a destination allocated once per call and viewed at each chunk's
-    size. Destinations are shared by liveness: enc0..enc3 keep their own,
-    since the skip sums read them later; every std_i writes one shared
-    buffer and every up_i and skip sum another. That is six 128-channel
-    buffers and std3's 1-channel output. The values are bit-identical to a
-    graph-building forward.
+    size. Destinations follow each layer's role and are shared by liveness:
+    each enc_i keeps its own, since a skip sum reads it later; every std
+    writes one shared buffer D1 and every up and skip sum another, D2. That
+    is six 128-channel buffers; std3 writes a 1-channel prefix of D1 while
+    it reads D2. The values are bit-identical to a graph-building forward.
 
     The destinations are kept because freeing them costs more than the math:
     glibc hands a freed array of this size back to the kernel, and the next
@@ -280,25 +271,24 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
     if n < DEFAULT_WINDOW:
         raise InvalidInputError(f"series must have at least {DEFAULT_WINDOW} samples")
     windows = sliding_windows(series.angle(angle_id))
-    # enc0..enc3, then D1 for every std_i, D2 for every up_i and skip sum,
-    # and std3's 1-channel output
-    rows = [model.channels] * (len(model.encoder) + 2) + [
-        model.decoder_std[-1].spec.out_channels]
-    capacity = DEFAULT_WINDOW * min(len(windows), DENOISE_CHUNK)
-    store = [np.empty(r * capacity) for r in rows]
+    capacity = model.channels * DEFAULT_WINDOW * min(len(windows), DENOISE_CHUNK)
+    d1, d2 = np.empty(capacity), np.empty(capacity)
+    # (rows, flat buffer) per destination. No conv writes the buffer it reads
+    # (std reads D2 and writes D1, up the reverse), and every layer's
+    # correlation padding is > 0, so _pad_or_crop copies each input before
+    # the GEMM writes anyway. The skip sum adds into D2 in place, which is
+    # safe for an elementwise add.
+    store = {name: (layer.spec.out_channels, np.empty(capacity) if name.startswith("enc")
+                    else d1 if name.startswith("std") else d2)
+             for name, layer in model.layers()}
+    store["sum"] = (model.channels, d2)
     total = np.zeros(n)
     for lo in range(0, len(windows), DENOISE_CHUNK):
         chunk = windows[lo:lo + DENOISE_CHUNK]
         # a prefix of each flat buffer is a C-contiguous array of the chunk's shape
         size = DEFAULT_WINDOW * len(chunk)
-        *enc, d1, d2, last = [buf[:r * size].reshape(r, DEFAULT_WINDOW, len(chunk))
-                              for r, buf in zip(rows, store)]
-        # _run's order: the encoder, std/up pairs, std3, then the skip sums.
-        # No conv writes the buffer it reads (std reads D2 and writes D1, up
-        # the reverse), and every layer's correlation padding is > 0, so
-        # _pad_or_crop copies each input before the GEMM writes anyway. The
-        # skip sum adds into D2 in place, which is safe for an elementwise add.
-        out = enc + [d1, d2] * len(model.decoder_up) + [last, d2]
+        out = {key: buf[:rows * size].reshape(rows, DEFAULT_WINDOW, len(chunk))
+               for key, (rows, buf) in store.items()}
         recon = _run(model, chunk.T[None, :, :], out)[0]
         # row j is offset j of each window; last row first adds each
         # sample's reconstructions in window order
@@ -356,7 +346,7 @@ def load_model(path) -> tuple[DanaeModel, dict]:
     rows = _architecture(meta["channels"])
     _check_layers(path, meta.get("layers"), [_layer_meta(*row) for row in rows],
                   meta["channels"])
-    layers = []
+    layers = {}
     for name, spec, activate in rows:
         for key in (f"{name}.w", f"{name}.b"):
             if key not in arrays:
@@ -364,8 +354,8 @@ def load_model(path) -> tuple[DanaeModel, dict]:
         weight, bias = arrays[f"{name}.w"], arrays[f"{name}.b"]
         if weight.shape != spec.weight_shape() or bias.shape != (spec.out_channels,):
             raise ShapeError(f"{path}: array shapes disagree with layer {name}")
-        layers.append(ConvLayer(spec, Tensor(weight), Tensor(bias), activate))
-    return _assemble(layers), meta
+        layers[name] = ConvLayer(spec, Tensor(weight), Tensor(bias), activate)
+    return DanaeModel(layers), meta
 
 
 def _check_layers(path, layers, expected: list[dict], channels: int) -> None:

@@ -52,8 +52,18 @@ class MetricsReport:
 
     kf: dict[str, DeviationStats]
     danae: dict[str, DeviationStats]
-    rmse_reduction_percent: dict[str, float | None]
-    mean_rmse_reduction_percent: float | None
+
+    @property
+    def rmse_reduction_percent(self) -> dict[str, float | None]:
+        """Per angle, DANAE's RMSE reduction against the KF's."""
+        return {name: reduction_percent(self.kf[name].rmse, self.danae[name].rmse)
+                for name in ANGLE_NAMES}
+
+    @property
+    def mean_rmse_reduction_percent(self) -> float | None:
+        """The mean over the angles whose reduction applies."""
+        usable = [v for v in self.rmse_reduction_percent.values() if v is not None]
+        return float(np.mean(usable)) if usable else None
 
     def to_text(self) -> str:
         lines = []
@@ -104,16 +114,10 @@ def reduction_percent(kf_rmse: float, danae_rmse: float) -> float | None:
 
 def build_report(kf: AngleSeries, danae: AngleSeries, gt: AngleSeries,
                  wrap: bool = False) -> MetricsReport:
-    """All nine statistics per estimator plus per-angle and mean RMSE reductions."""
-    kf_stats = {name: deviations(kf, gt, name, wrap) for name in ANGLE_NAMES}
-    danae_stats = {name: deviations(danae, gt, name, wrap) for name in ANGLE_NAMES}
-    per_angle = {
-        name: reduction_percent(kf_stats[name].rmse, danae_stats[name].rmse)
-        for name in ANGLE_NAMES
-    }
-    usable = [v for v in per_angle.values() if v is not None]
-    mean = float(np.mean(usable)) if usable else None
-    return MetricsReport(kf_stats, danae_stats, per_angle, mean)
+    """All three statistics per angle for each estimator; the report derives
+    the per-angle and mean RMSE reductions from them."""
+    return MetricsReport({name: deviations(kf, gt, name, wrap) for name in ANGLE_NAMES},
+                         {name: deviations(danae, gt, name, wrap) for name in ANGLE_NAMES})
 
 
 def emit_plot_data(t, labeled_series, path) -> None:

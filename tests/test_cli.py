@@ -9,6 +9,7 @@ import pytest
 
 import danae
 from danae.cli import main
+from danae.danae_model import load_model, save_model
 from danae.dataio import read_angle_csv
 from danae.errors import ConfigError
 from danae.evalkit import deviations
@@ -252,6 +253,32 @@ class TestDenoise:
                              "--out", tmp_path / "d.csv")
             assert proc.returncode == (2 if issubclass(error, ConfigError) else 3), case
             assert "Traceback" not in proc.stderr, case
+
+    def test_angle_contradicting_the_checkpoint_exits_2(self, trained, tmp_path):
+        # it used to apply the roll model to pitch and record "pitch"
+        out = tmp_path / "d.csv"
+        proc = run_fresh("denoise", "--model", trained["model"], "--kf", trained["kf"],
+                         "--angle", "pitch", "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"ERROR {trained['model']}: checkpoint records angle roll, but --angle is pitch"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_angle_agreeing_with_or_absent_from_the_checkpoint_is_used(self, trained,
+                                                                        tmp_path):
+        plain, agreeing = tmp_path / "plain.csv", tmp_path / "agreeing.csv"
+        assert run("denoise", "--model", trained["model"], "--kf", trained["kf"],
+                   "--out", plain) == 0
+        assert run("denoise", "--model", trained["model"], "--kf", trained["kf"],
+                   "--angle", "roll", "--out", agreeing) == 0
+        assert agreeing.read_bytes() == plain.read_bytes()
+        unnamed = tmp_path / "unnamed.ckpt"
+        save_model(unnamed, load_model(trained["model"])[0])
+        out = tmp_path / "pitch.csv"
+        assert run("denoise", "--model", unnamed, "--kf", trained["kf"],
+                   "--angle", "pitch", "--out", out) == 0
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["config"] == {
+            "angle": "pitch"}
 
 
 class TestEval:

@@ -1,4 +1,6 @@
+import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -13,6 +15,7 @@ from danae.attitude_kf import KfConfig
 from danae.danae_model import (
     DEFAULT_WINDOW,
     TrainConfig,
+    _architecture,
     _run,
     build_model,
     denoise_series,
@@ -24,7 +27,8 @@ from danae.danae_model import (
 from danae.dataio import SynthConfig, WindowSet, make_windows, synth_trajectory
 from danae.errors import ConfigError, InvalidInputError, NumericalError, ShapeError
 from danae.series import AngleSeries
-from danae.tensor_nn import ConvSpec, Tensor, l2_loss, read_checkpoint, write_checkpoint
+from danae.tensor_nn import (CHECKPOINT_MAGIC, ConvSpec, Tensor, l2_loss, read_checkpoint,
+                             write_checkpoint)
 
 from helpers import corrupt_checkpoints
 from test_tensor_nn import finite_difference_check
@@ -55,18 +59,60 @@ class TestBuildModel:
             assert build_model(0, channels=c).parameter_count() == want
 
     def test_shipped_dilation_schedule(self):
-        model = build_model(0, channels=4)
-        assert [l.spec.dilation for l in model.encoder] == [1, 2, 4, 8]
-        assert [l.spec.padding for l in model.encoder] == [1, 2, 4, 8]
-        assert [l.spec.dilation for l in model.decoder_up] == [4, 2, 1]
-        assert all(l.spec.transposed for l in model.decoder_up)
-        assert [l.spec.dilation for l in model.decoder_std] == [1, 1, 1, 1]
-        assert model.decoder_std[-1].spec.out_channels == 1
-        assert not model.decoder_std[-1].activate
+        layer = dict(build_model(0, channels=4).layers())
+        encoder = [layer[f"enc{i}"] for i in range(4)]
+        decoder_up = [layer[f"up{i}"] for i in range(3)]
+        decoder_std = [layer[f"std{i}"] for i in range(4)]
+        assert [l.spec.dilation for l in encoder] == [1, 2, 4, 8]
+        assert [l.spec.padding for l in encoder] == [1, 2, 4, 8]
+        assert [l.spec.dilation for l in decoder_up] == [4, 2, 1]
+        assert all(l.spec.transposed for l in decoder_up)
+        assert [l.spec.dilation for l in decoder_std] == [1, 1, 1, 1]
+        assert layer["std3"].spec.out_channels == 1
+        assert not layer["std3"].activate
 
     def test_hidden_width_is_128_by_default(self):
-        model = build_model(0)
-        assert model.encoder[-1].spec.out_channels == 128
+        layer = dict(build_model(0).layers())
+        assert layer["enc3"].spec.out_channels == 128
+
+    def test_layer_order_and_checkpoint_header_are_pinned(self, tmp_path):
+        model = build_model(0, channels=4)
+        names = [name for name, _ in model.layers()]
+        assert names == [name for name, _, _ in _architecture(4)]
+        assert names == ["enc0", "enc1", "enc2", "enc3", "std0", "up0", "std1", "up1",
+                         "std2", "up2", "std3"]
+        layer = dict(model.layers())
+        params = model.parameters()
+        assert len(params) == 2 * len(names)
+        for i, name in enumerate(names):
+            assert params[2 * i] is layer[name].weight
+            assert params[2 * i + 1] is layer[name].bias
+        # the JSON header holds no floats, so its bytes do not depend on numpy
+        path = tmp_path / "model.ckpt"
+        save_model(path, model, angle_id="roll")
+        raw = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 12
+        _, size = struct.unpack_from("<IQ", raw, len(CHECKPOINT_MAGIC))
+        header = json.loads(raw[start:start + size])
+        # (name, in, out, dilation, transposed, activate) in forward order
+        plan = [("enc0", 1, 4, 1, False, True), ("enc1", 4, 4, 2, False, True),
+                ("enc2", 4, 4, 4, False, True), ("enc3", 4, 4, 8, False, True),
+                ("std0", 4, 4, 1, False, True), ("up0", 4, 4, 4, True, True),
+                ("std1", 4, 4, 1, False, True), ("up1", 4, 4, 2, True, True),
+                ("std2", 4, 4, 1, False, True), ("up2", 4, 4, 1, True, True),
+                ("std3", 4, 1, 1, False, False)]
+        assert header == {
+            "arrays": [entry for name, inp, out, *_ in plan
+                       for entry in ({"name": f"{name}.w", "shape": [out, inp, 3]},
+                                     {"name": f"{name}.b", "shape": [out]})],
+            "meta": {
+                "angle": "roll", "channels": 4, "kind": "danae-model", "window_length": 20,
+                "layers": [{"activate": act, "dilation": d, "in_channels": inp,
+                            "kernel_size": 3, "name": name, "out_channels": out,
+                            "padding": d, "transposed": tr}
+                           for name, inp, out, d, tr, act in plan],
+            },
+        }
 
     @pytest.mark.parametrize("seed, message", [
         (-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
