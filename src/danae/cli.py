@@ -260,7 +260,7 @@ def cmd_denoise(args):
                           f"but --angle is {args.angle}")
     angle = args.angle or recorded
     if angle is None:
-        raise ConfigError("checkpoint does not record an angle; pass --angle")
+        raise ConfigError(f"{args.model}: checkpoint does not record an angle; pass --angle")
     estimates = read_angle_csv(args.kf)
     denoised = denoise_series(model, estimates, angle)
     out = Path(args.out)

@@ -81,9 +81,10 @@ class ConvLayer:
         op = conv1d_transposed if self.spec.transposed else conv1d
         if isinstance(x, Tensor):
             y = op(x, self.weight, self.bias, self.spec, out=out)
-            return activation(y) if self.activate else y
-        y = op(x, self.weight.data, self.bias.data, self.spec, out=out)
-        # the conv's output is this layer's own, so it is rectified in place
+        else:
+            y = op(x, self.weight.data, self.bias.data, self.spec, out=out)
+        # the conv's output is this layer's own and no backward reads it, so
+        # it is rectified in place, in a graph too
         return activation(y, out=y) if self.activate else y
 
 

@@ -18,6 +18,15 @@ is returned, so a caller can keep one destination per layer across calls
 (activation(x, out=x) rectifies in place). `out=` with a Tensor argument is
 a StateError, since a graph node must own its value.
 
+The one exception is activation(x, out=x) with a Tensor x, which rectifies
+x's value in place and returns a node that shares x's buffer. It is safe
+when the rectifier is x's only consumer, as it is for a conv layer's output
+(danae_model.ConvLayer): the rectifier's backward reads only the 1-byte
+mask it takes before the write, and no backward function reads its own
+node's value (a conv's reads its input values, add's none, l2_loss's the
+residual it saved), so nothing reads x's old value after the write. A
+training graph then holds one array per rectified conv, not two.
+
 Convolutions use cross-correlation semantics (no kernel flip) at stride 1.
 The correlation is shift-and-add: one matrix product per kernel tap against
 a shifted view of the padded input, summed. Each call copies the weights once,
@@ -283,18 +292,26 @@ def _conv(x, weights, bias, spec: ConvSpec, out) -> Tensor | np.ndarray:
     return Tensor(y, parents, backward_fn)
 
 
-def activation(x: Tensor | np.ndarray, out: np.ndarray | None = None) -> Tensor | np.ndarray:
-    """Leaky rectifier: y = x where x > 0, else LEAKY_SLOPE * x."""
+def activation(x: Tensor | np.ndarray,
+               out: Tensor | np.ndarray | None = None) -> Tensor | np.ndarray:
+    """Leaky rectifier: y = x where x > 0, else LEAKY_SLOPE * x.
+
+    activation(x, out=x) rectifies x's value in place, for a Tensor x too:
+    the node it returns shares x's buffer (see the module docstring).
+    """
     xd = _value(x)
-    if out is not None:
+    if out is x and isinstance(x, Tensor):
+        out = xd
+    elif out is not None:
         _check_out(out, xd.shape, x)
-    y = np.maximum(xd, LEAKY_SLOPE * xd, out=out)
     if not isinstance(x, Tensor):
-        return y
-    # the graph keeps a 1-byte mask; scaling g by LEAKY_SLOPE where it is
-    # False is bit for bit g * where(x > 0, 1.0, LEAKY_SLOPE), signed zeros
-    # included, and rectifies the owned g in place
+        return np.maximum(xd, LEAKY_SLOPE * xd, out=out)
+    # the graph keeps a 1-byte mask, taken before out=x overwrites x's value;
+    # scaling g by LEAKY_SLOPE where it is False is bit for bit
+    # g * where(x > 0, 1.0, LEAKY_SLOPE), signed zeros included, and
+    # rectifies the owned g in place
     positive = xd > 0
+    y = np.maximum(xd, LEAKY_SLOPE * xd, out=out)
 
     def backward_fn(g):
         np.multiply(g, LEAKY_SLOPE, out=g, where=~positive)

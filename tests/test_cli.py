@@ -264,6 +264,16 @@ class TestDenoise:
             f"ERROR {trained['model']}: checkpoint records angle roll, but --angle is pitch"]
         assert list(tmp_path.iterdir()) == []
 
+    def test_no_angle_anywhere_exits_2_naming_the_checkpoint(self, trained, tmp_path):
+        unnamed = tmp_path / "unnamed.ckpt"
+        save_model(unnamed, load_model(trained["model"])[0])
+        proc = run_fresh("denoise", "--model", unnamed, "--kf", trained["kf"],
+                         "--out", tmp_path / "d.csv")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"ERROR {unnamed}: checkpoint does not record an angle; pass --angle"]
+        assert list(tmp_path.iterdir()) == [unnamed]
+
     def test_angle_agreeing_with_or_absent_from_the_checkpoint_is_used(self, trained,
                                                                         tmp_path):
         plain, agreeing = tmp_path / "plain.csv", tmp_path / "agreeing.csv"

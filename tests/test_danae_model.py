@@ -273,9 +273,11 @@ class TestTrain:
         # each rectifier's graph node keeps a 1-byte mask of its input, not
         # a float64 slope array (328 kB per layer at batch 16), and backward
         # frees each intermediate gradient once it is passed on, so the
-        # first batch's graph carries none into the second batch's forward:
-        # two batches of the 128-channel model peaked at 37.7 MB with the
-        # slopes, 32.0 MB with the masks and 24.1 MB with the freed gradients
+        # first batch's graph carries none into the second batch's forward;
+        # each conv output is rectified in place, so a layer's graph keeps
+        # one value array, not two: two batches of the 128-channel model
+        # peaked at 37.7 MB with the slopes, 32.0 MB with the masks, 24.1 MB
+        # with the freed gradients and 17.9 MB with the in-place rectifier
         rng = np.random.default_rng(15)
         windows = WindowSet(rng.normal(size=(32, 20)), rng.normal(size=(32, 20)))
         model = build_model(3)
@@ -285,7 +287,29 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 27e6, peak
+        assert peak < 20e6, peak
+
+    def test_graph_holds_no_pre_activation_array(self):
+        # the rectifier node shares its conv node's buffer, so no graph node
+        # keeps a conv output that is not also the rectified value
+        model = build_model(3)
+        x = Tensor(np.random.default_rng(16).normal(size=(1, DEFAULT_WINDOW, 16)))
+        nodes, stack = {}, [_run(model, x)]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node._parents)
+        weights = {id(layer.weight) for _, layer in model.layers()}
+        convs = {id(n) for n in nodes.values()
+                 if any(id(p) in weights for p in n._parents)}
+        rectifiers = [n for n in nodes.values()
+                      if len(n._parents) == 1 and id(n._parents[0]) in convs]
+        assert len(convs) == 11
+        assert len(rectifiers) == 10
+        for node in rectifiers:
+            assert node.data.shape == (128, DEFAULT_WINDOW, 16)
+            assert np.shares_memory(node.data, node._parents[0].data)
 
 
 def _graph_denoise(model, series, angle_id, chunk_size=256):

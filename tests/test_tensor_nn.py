@@ -187,6 +187,41 @@ class TestActivation:
             y._backward_fn(g.copy())
             assert xt.grad.tobytes() == (g * np.where(x > 0, 1.0, LEAKY_SLOPE)).tobytes()
 
+    def test_in_place_node_bit_equal_to_fresh_node(self):
+        # activation(x, out=x) rectifies x's own buffer and returns a node
+        # sharing it; its value and the gradient backward gives x match the
+        # fresh node's bit for bit. The loss target holds the special values
+        # too, so the gradients reaching the rectifier do as well
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   2e-310, -2e-310, 1.0, -1.0]
+        x = np.array([special * len(special)])
+        target = np.array([np.repeat(special, len(special))])
+        grads = []
+        for in_place in (False, True):
+            xt = Tensor(x.copy())
+            y = activation(xt, out=xt if in_place else None)
+            assert y is not xt and y._parents == (xt,)
+            assert np.shares_memory(y.data, xt.data) == in_place
+            with np.errstate(invalid="ignore"):  # inf - inf in the residual
+                backward(l2_loss(y, target))
+            grads.append((y.data.tobytes(), xt.grad.tobytes()))
+        assert grads[0] == grads[1]
+
+    def test_in_place_after_a_conv_keeps_every_gradient(self):
+        rng = np.random.default_rng(7)
+        spec = ConvSpec(2, 3, 3, padding=1)
+        w, b, x = rng.normal(size=spec.weight_shape()), rng.normal(size=3), \
+            rng.normal(size=(2, 7, 4))
+        target = rng.normal(size=(3, 7, 4))
+        results = []
+        for in_place in (False, True):
+            leaves = [Tensor(w), Tensor(b), Tensor(x)]
+            y = conv1d(leaves[2], leaves[0], leaves[1], spec)
+            loss = l2_loss(activation(y, out=y if in_place else None), target)
+            backward(loss)
+            results.append([loss.data.tobytes()] + [t.grad.tobytes() for t in leaves])
+        assert results[0] == results[1]
+
 
 class TestL2Loss:
     def test_perfect_reconstruction(self):
@@ -509,8 +544,12 @@ class TestArrayPath:
     def test_activation_bit_equal_to_slope_product(self):
         # the product form x * slope is the rectifier's definition; the
         # maximum form must match it bit for bit, special values included
+        # (NaN signs and payloads too), in place as well
         rng = np.random.default_rng(62)
-        special = [np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, -1e-300]
+        payload_nans = np.array([0x7FF8000000000123, 0xFFF8000000000ABC],
+                                dtype=np.uint64).view(np.float64)
+        special = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                   2e-310, -2e-310, -1e-300, *payload_nans]
         for x in (rng.normal(size=(4, 9)), rng.normal(size=(2, 7, 3)),
                   np.array([special])):
             ref = x * np.where(x > 0, 1.0, 0.01)
@@ -553,6 +592,20 @@ class TestArrayPath:
                      lambda: add(out, Tensor(out), out=out)):
             with pytest.raises(StateError, match="out="):
                 call()
+        # activation(t, out=t) is the one graph-path out=; any other Tensor
+        # and out= pairing still raises
+        t = Tensor(rng.normal(size=out.shape))
+        before = t.data.copy()
+        for call in (lambda: activation(t, out=t.data),
+                     lambda: activation(t, out=Tensor(out.copy())),
+                     lambda: activation(t, out=out),
+                     lambda: add(t, t, out=t),
+                     lambda: add(t, out, out=t.data),
+                     lambda: conv1d(Tensor(x), w, None, spec, out=Tensor(out))):
+            with pytest.raises(StateError, match="out="):
+                call()
+        # and none of them has written anything
+        assert t.data.tobytes() == before.tobytes()
         # a conv writes through a reshaped view, so the array must be exactly
         # the C-contiguous float64 result
         for bad in (np.empty((3, 6, 5)), np.empty((3, 6)),
