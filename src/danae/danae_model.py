@@ -218,6 +218,13 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
         raise ShapeError(
             f"windows are {windows.window_length} samples long, the model takes {DEFAULT_WINDOW}"
         )
+    # backward frees each batch's graph, several MB at once, which glibc
+    # would hand back to the kernel and the next batch fault in again.
+    # Freeing one untouched mmap'd 8 MB block raises glibc's dynamic mmap
+    # and trim thresholds to 8 and 16 MB, so the heap keeps that memory for
+    # the next batch. mallopt(M_TRIM_THRESHOLD) would switch the dynamic
+    # thresholds off; to other allocators this is a short-lived mapping.
+    np.empty(1 << 20)
     params = model.parameters()
     state = AdamState.for_params(params, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)

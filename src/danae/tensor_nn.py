@@ -4,10 +4,17 @@ Everything is float64 numpy. A Tensor wraps a value array plus a gradient
 slot; operations build a reverse-mode graph and backward() walks it once in
 topological order. Each node's backward function owns the gradient array it
 is handed and may overwrite it or pass it on to a parent (the rectifier
-scales it in place); backward() empties an intermediate node's slot as it
-hands the gradient over, so only leaves keep gradients. Activations are
-(channels, length) arrays, optionally with a trailing batch axis;
-parameters reuse the same Tensor type with their natural shapes.
+scales it in place). Activations are (channels, length) arrays, optionally
+with a trailing batch axis; parameters reuse the same Tensor type with
+their natural shapes.
+
+backward() consumes the graph: leaves keep their gradients, and every other
+node drops its gradient, closure and parent links once its backward
+function has run, so a batch's activations are freed while its gradients
+are built. backward on a graph that reaches a consumed node raises
+StateError. danae_model.train frees one untouched 8 MB block first, which
+raises glibc's trim threshold to 16 MB, so the heap keeps what each batch
+frees instead of returning it to the kernel to be faulted in again.
 
 The operations also take plain arrays: when no argument is a Tensor they
 return a plain array and build no graph node or closure, so inference keeps
@@ -149,7 +156,10 @@ def _pad_or_crop(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
     if p > 0:
-        out = np.zeros((c, length + 2 * p, b))
+        # only the two halos need zeros; the interior is overwritten anyway
+        out = np.empty((c, length + 2 * p, b))
+        out[:, :p, :] = 0.0
+        out[:, p + length:, :] = 0.0
         out[:, p:p + length, :] = x
         return out
     return x[:, -p:length + p, :]
@@ -306,15 +316,19 @@ def activation(x: Tensor | np.ndarray,
         _check_out(out, xd.shape, x)
     if not isinstance(x, Tensor):
         return np.maximum(xd, LEAKY_SLOPE * xd, out=out)
-    # the graph keeps a 1-byte mask, taken before out=x overwrites x's value;
-    # scaling g by LEAKY_SLOPE where it is False is bit for bit
-    # g * where(x > 0, 1.0, LEAKY_SLOPE), signed zeros included, and
-    # rectifies the owned g in place
+    # the graph keeps a 1-byte mask, taken before out=x overwrites x's value
     positive = xd > 0
     y = np.maximum(xd, LEAKY_SLOPE * xd, out=out)
 
     def backward_fn(g):
-        np.multiply(g, LEAKY_SLOPE, out=g, where=~positive)
+        # the slope built from the mask is exactly 1.0 or LEAKY_SLOPE
+        # (0.99 + 0.01 rounds to 1.0), so the owned g is scaled in place bit
+        # for bit as g * where(x > 0, 1.0, LEAKY_SLOPE); a masked multiply
+        # (where=) gives the same bytes but loops once per run of equal mask
+        # values, several times slower on a batch's mask
+        s = np.multiply(positive, 1.0 - LEAKY_SLOPE)
+        s += LEAKY_SLOPE
+        g *= s
         _accumulate(x, g, owned=True)
 
     return Tensor(y, (x,), backward_fn)
@@ -359,12 +373,22 @@ def l2_loss(pred: Tensor, target) -> Tensor:
     return Tensor(np.mean(diff * diff), _tensor_parents(pred, target), backward_fn)
 
 
+def _consumed(g):
+    """The backward function of a node that backward() has consumed."""
+    raise StateError("graph already consumed by backward")
+
+
 def backward(root: Tensor) -> None:
-    """Add d(root)/d(leaf) into the grad slot of every reachable leaf.
+    """Add d(root)/d(leaf) into the grad slot of every reachable leaf, and
+    consume the graph.
 
     Leaves (parameters and inputs) keep their gradients, added to what their
-    slots held; an intermediate node's slot is freed once its gradient has
-    been passed on, so a second call on one graph adds the same amount again.
+    slots held. Every other node is released as soon as its backward
+    function has run: its gradient slot, closure and parent links go, so the
+    activations a closure kept are freed while the gradients are still being
+    built. A consumed node keeps its value, but backward on any graph that
+    reaches it, itself included, raises StateError before it touches a
+    gradient slot.
     """
     if root._backward_fn is None and not root._parents:
         raise StateError("backward called on a leaf: run a forward computation first")
@@ -380,17 +404,24 @@ def backward(root: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward_fn is _consumed:
+            raise StateError("graph already consumed by backward")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
             if id(parent) not in seen:
                 stack.append((parent, False))
     _accumulate(root, np.ones_like(root.data), owned=True)
-    for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
-            # the backward function owns the gradient it is handed
-            g, node.grad = node.grad, None
+    # reverse topological order; popping drops the list's hold on each node
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
+            continue
+        # the backward function owns the gradient it is handed
+        g, node.grad = node.grad, None
+        if g is not None:
             node._backward_fn(g)
+        node._backward_fn, node._parents = _consumed, ()
 
 
 # ---------------------------------------------------------------------------

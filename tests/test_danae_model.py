@@ -34,6 +34,16 @@ from helpers import corrupt_checkpoints
 from test_tensor_nn import finite_difference_check
 
 
+def _fresh_interpreter_count(code, arg):
+    """The integer `code` prints when run with `arg` in a new interpreter on
+    this checkout, with one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(Path(danae.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    return int(subprocess.run([sys.executable, "-c", code, str(arg)], env=env,
+                              capture_output=True, text=True, check=True,
+                              timeout=120).stdout)
+
+
 def _params_blob(model):
     return np.concatenate([p.data.reshape(-1) for p in model.parameters()])
 
@@ -271,13 +281,14 @@ class TestTrain:
 
     def test_peak_memory_of_two_batches(self):
         # each rectifier's graph node keeps a 1-byte mask of its input, not
-        # a float64 slope array (328 kB per layer at batch 16), and backward
-        # frees each intermediate gradient once it is passed on, so the
-        # first batch's graph carries none into the second batch's forward;
-        # each conv output is rectified in place, so a layer's graph keeps
-        # one value array, not two: two batches of the 128-channel model
-        # peaked at 37.7 MB with the slopes, 32.0 MB with the masks, 24.1 MB
-        # with the freed gradients and 17.9 MB with the in-place rectifier
+        # a float64 slope array (328 kB per layer at batch 16); each conv
+        # output is rectified in place, so a layer's graph keeps one value
+        # array, not two; and backward consumes the graph, freeing a batch's
+        # activations while its gradients are built. Two batches of the
+        # 128-channel model peaked at 37.7 MB with the slopes, 32.0 MB with
+        # the masks, 24.1 MB once backward freed intermediate gradients,
+        # 17.9 MB with the in-place rectifier and 14.1 MB with the consumed
+        # graph
         rng = np.random.default_rng(15)
         windows = WindowSet(rng.normal(size=(32, 20)), rng.normal(size=(32, 20)))
         model = build_model(3)
@@ -287,7 +298,33 @@ class TestTrain:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6, peak
+        assert peak < 16e6, peak
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts glibc's minor page faults")
+    def test_no_page_faults_per_batch(self):
+        # backward frees each batch's graph, several MB at once; glibc handed
+        # that heap top back to the kernel and the next batch faulted it in
+        # again, unless train has raised the trim threshold first. 20 extra
+        # batches (32 -> 352 windows) added 6.6k minor faults while the graph
+        # lived on into the next batch, 15.4k with it freed in backward alone,
+        # and none (3 766 -> 3 720) with train's 8 MB block freed first. A
+        # fresh interpreter has glibc's default thresholds.
+        code = textwrap.dedent("""
+            import resource, sys
+            import numpy as np
+            from danae.danae_model import TrainConfig, build_model, train
+            from danae.dataio import WindowSet
+            n = int(sys.argv[1])
+            rng = np.random.default_rng(15)
+            windows = WindowSet(rng.normal(size=(n, 20)), rng.normal(size=(n, 20)))
+            model = build_model(3)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(model, windows, TrainConfig(epochs=1, batch_size=16))
+            print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        faults = [_fresh_interpreter_count(code, n) for n in (32, 352)]
+        assert faults[1] - faults[0] < 2_000, faults
 
     def test_graph_holds_no_pre_activation_array(self):
         # the rectifier node shares its conv node's buffer, so no graph node
@@ -397,12 +434,7 @@ class TestDenoiseSeries:
             denoise_series(model, series, "roll")
             print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """)
-        env = {**os.environ, "PYTHONPATH": str(Path(danae.__file__).parents[1]),
-               "OPENBLAS_NUM_THREADS": "1"}
-        faults = [int(subprocess.run([sys.executable, "-c", code, str(n)], env=env,
-                                     capture_output=True, text=True, check=True,
-                                     timeout=120).stdout)
-                  for n in (1300, 3000)]
+        faults = [_fresh_interpreter_count(code, n) for n in (1300, 3000)]
         assert faults[1] - faults[0] < 20_000, faults
 
     def test_constant_series_interior_output_constant(self):

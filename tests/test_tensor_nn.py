@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -170,10 +172,14 @@ class TestActivation:
         assert np.all(activation(Tensor(a)).data <= activation(Tensor(b)).data)
 
     def test_backward_bit_equal_to_slope_product(self):
-        # the graph keeps a bool mask; its gradient must equal the float
-        # slope product bit for bit, signed zeros and NaN included
+        # the graph keeps a bool mask and builds the slope from it; its
+        # gradient must equal the float slope product bit for bit, signed
+        # zeros, subnormals and NaN signs and payloads included
         rng = np.random.default_rng(5)
-        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+        payload_nans = np.array([0x7FF8000000000123, 0xFFF8000000000ABC],
+                                dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, np.nan, -np.nan, *payload_nans, np.inf, -np.inf,
+                   5e-324, -5e-324, 2e-310, -2e-310, 1.0, -1.0]
         # every (x, g) pair of special values, then random batches with zeros
         grid = (np.array([special * len(special)]),
                 np.array([np.repeat(special, len(special))]))
@@ -354,21 +360,33 @@ class TestBackward:
         per_path = (2.0 / x.data.size) * (y + y - target) * slope
         assert np.array_equal(x.grad, per_path + per_path)
 
-    def test_second_backward_on_one_graph_adds_once(self):
-        # intermediate slots are emptied as their gradients are passed on, so
-        # a second call adds the first call's leaf gradients once more, not
-        # again everything the first call left along the graph
-        rng = np.random.default_rng(16)
+    @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda f: f.__name__[1:])
+    def test_second_backward_on_one_graph_raises(self, graph):
+        # backward consumes the graph; a second call must fail before it
+        # adds anything, not return partial gradients
+        loss, leaves = graph(np.random.default_rng(16))
+        backward(loss)
+        first = [t.grad.tobytes() for t in leaves]
+        with pytest.raises(StateError, match="graph already consumed by backward"):
+            backward(loss)
+        assert [t.grad.tobytes() for t in leaves] == first
+
+    def test_new_loss_on_a_consumed_intermediate_raises(self):
+        # a kept prediction outlives its graph: its value stays, but a new
+        # loss built on it reaches a consumed node
+        rng = np.random.default_rng(19)
         spec = ConvSpec(2, 3, 3, padding=1)
         leaves = [Tensor(rng.normal(size=spec.weight_shape())), Tensor(rng.normal(size=3)),
                   Tensor(rng.normal(size=(2, 7)))]
-        loss = l2_loss(activation(conv1d(leaves[2], leaves[0], leaves[1], spec)),
-                       rng.normal(size=(3, 7)))
-        backward(loss)
-        first = [t.grad.copy() for t in leaves]
-        backward(loss)
-        for t, g in zip(leaves, first):
-            assert np.array_equal(t.grad, 2.0 * g)
+        pred = activation(conv1d(leaves[2], leaves[0], leaves[1], spec))
+        value = pred.data.copy()
+        backward(l2_loss(pred, rng.normal(size=(3, 7))))
+        first = [t.grad.tobytes() for t in leaves]
+        assert np.array_equal(pred.data, value)
+        loss = l2_loss(add(pred, Tensor(np.ones((3, 7)))), np.zeros((3, 7)))
+        with pytest.raises(StateError, match="graph already consumed by backward"):
+            backward(loss)
+        assert [t.grad.tobytes() for t in leaves] == first
 
     @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda f: f.__name__[1:])
     def test_leaf_gradients_bit_equal_to_keeping_every_slot(self, graph):
@@ -381,9 +399,10 @@ class TestBackward:
 
     @pytest.mark.parametrize("graph", _GRAPHS, ids=lambda f: f.__name__[1:])
     def test_only_leaves_keep_gradients(self, graph):
+        # every node is collected before backward, which unlinks the graph;
+        # after it each inner node has no gradient, no closure and no
+        # parents, and its backward function has been freed
         loss, leaves = graph(np.random.default_rng(18))
-        backward(loss)
-        assert all(t.grad is not None for t in leaves)
         nodes, stack = {}, [loss]
         while stack:
             node = stack.pop()
@@ -391,8 +410,12 @@ class TestBackward:
                 nodes[id(node)] = node
                 stack.extend(node._parents)
         inner = [n for n in nodes.values() if n._backward_fn is not None]
-        assert inner and all(n.grad is None for n in inner)
-
+        closures = [weakref.ref(n._backward_fn) for n in inner]
+        backward(loss)
+        assert all(t.grad is not None for t in leaves)
+        assert inner and all(n.grad is None and n._parents == () for n in inner)
+        assert all(getattr(n._backward_fn, "__closure__", None) is None for n in inner)
+        assert all(ref() is None for ref in closures)
 
 def _single_pass_grad():
     spec = ConvSpec(1, 1, 3, padding=1)
