@@ -59,7 +59,10 @@ __all__ = [
 ]
 
 DEFAULT_CHANNELS = 128
-# windows per model call in denoise_series (see its docstring)
+# windows per model call in denoise_series: each chunk's layer outputs are
+# allocated and freed per chunk, so a small chunk keeps the peak low. The
+# width also fixes the output bits: BLAS may sum a product in another order
+# at another shape (64 or 256 windows move the last bit of some samples)
 DENOISE_CHUNK = 32
 ENCODER_DILATIONS = (1, 2, 4, 8)
 DECODER_UP_DILATIONS = (4, 2, 1)
@@ -74,15 +77,14 @@ class ConvLayer:
     bias: Tensor
     activate: bool = True
 
-    def __call__(self, x: Tensor | np.ndarray,
-                 out: np.ndarray | None = None) -> Tensor | np.ndarray:
+    def __call__(self, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
         """A Tensor input builds graph nodes; a plain array input gets a
-        plain array back, written into `out` when given, and builds none."""
+        plain array back and builds none."""
         op = conv1d_transposed if self.spec.transposed else conv1d
         if isinstance(x, Tensor):
-            y = op(x, self.weight, self.bias, self.spec, out=out)
+            y = op(x, self.weight, self.bias, self.spec)
         else:
-            y = op(x, self.weight.data, self.bias.data, self.spec, out=out)
+            y = op(x, self.weight.data, self.bias.data, self.spec)
         # the conv's output is this layer's own and no backward reads it, so
         # it is rectified in place, in a graph too
         return activation(y, out=y) if self.activate else y
@@ -173,26 +175,19 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
     return DanaeModel(layers)
 
 
-def _run(model: DanaeModel, x: Tensor | np.ndarray,
-         out: dict[str, np.ndarray] | None = None) -> Tensor | np.ndarray:
+def _run(model: DanaeModel, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """The forward pass; the only description of the skip wiring.
 
     The layers run in model.layers() order, each on the stream. An enc*
     output is kept as a skip, and a std* layer first adds the oldest unused
     skip to the stream: std0 takes enc0 + enc3, std1 enc1 + up0's output.
-
-    For a plain array x, `out` may give the destinations: one per layer
-    name, and "sum" for the skip sums. The result is then the last layer's
-    destination.
     """
-    out = out or {}
     skips = []
     h = x
     for name, layer in model.layers():
         if name.startswith("std"):
-            # the previous std has consumed its sum before this one is written
-            h = add(skips.pop(0), h, out=out.get("sum"))
-        h = layer(h, out.get(name))
+            h = add(skips.pop(0), h)
+        h = layer(h)
         if name.startswith("enc"):
             skips.append(h)
     return h
@@ -218,13 +213,6 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
         raise ShapeError(
             f"windows are {windows.window_length} samples long, the model takes {DEFAULT_WINDOW}"
         )
-    # backward frees each batch's graph, several MB at once, which glibc
-    # would hand back to the kernel and the next batch fault in again.
-    # Freeing one untouched mmap'd 8 MB block raises glibc's dynamic mmap
-    # and trim thresholds to 8 and 16 MB, so the heap keeps that memory for
-    # the next batch. mallopt(M_TRIM_THRESHOLD) would switch the dynamic
-    # thresholds off; to other allocators this is a short-lived mapping.
-    np.empty(1 << 20)
     params = model.parameters()
     state = AdamState.for_params(params, lr=cfg.lr)
     rng = np.random.default_rng(cfg.seed)
@@ -262,42 +250,20 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> A
     order, so the result is deterministic.
 
     Each chunk of DENOISE_CHUNK windows runs through the model as a plain
-    array, so no autograd graph is built, and each layer writes its output
-    into a destination allocated once per call and viewed at each chunk's
-    size. Destinations follow each layer's role and are shared by liveness:
-    each enc_i keeps its own, since a skip sum reads it later; every std
-    writes one shared buffer D1 and every up and skip sum another, D2. That
-    is six 128-channel buffers; std3 writes a 1-channel prefix of D1 while
-    it reads D2. The values are bit-identical to a graph-building forward.
-
-    The destinations are kept because freeing them costs more than the math:
-    glibc hands a freed array of this size back to the kernel, and the next
-    chunk faults it in again. Chunks are small and buffers shared so that
-    keeping them adds little to the peak RSS.
+    array, so no autograd graph is built and each layer's output is freed
+    once the next layers have read it. The values are bit-identical to a
+    graph-building forward. The heap keeps what a chunk frees for the next
+    one (tensor_nn raises glibc's trim threshold at import), so the chunk's
+    arrays are not faulted in again.
     """
     n = len(series)
     if n < DEFAULT_WINDOW:
         raise InvalidInputError(f"series must have at least {DEFAULT_WINDOW} samples")
     windows = sliding_windows(series.angle(angle_id))
-    capacity = model.channels * DEFAULT_WINDOW * min(len(windows), DENOISE_CHUNK)
-    d1, d2 = np.empty(capacity), np.empty(capacity)
-    # (rows, flat buffer) per destination. No conv writes the buffer it reads
-    # (std reads D2 and writes D1, up the reverse), and every layer's
-    # correlation padding is > 0, so _pad_or_crop copies each input before
-    # the GEMM writes anyway. The skip sum adds into D2 in place, which is
-    # safe for an elementwise add.
-    store = {name: (layer.spec.out_channels, np.empty(capacity) if name.startswith("enc")
-                    else d1 if name.startswith("std") else d2)
-             for name, layer in model.layers()}
-    store["sum"] = (model.channels, d2)
     total = np.zeros(n)
     for lo in range(0, len(windows), DENOISE_CHUNK):
         chunk = windows[lo:lo + DENOISE_CHUNK]
-        # a prefix of each flat buffer is a C-contiguous array of the chunk's shape
-        size = DEFAULT_WINDOW * len(chunk)
-        out = {key: buf[:rows * size].reshape(rows, DEFAULT_WINDOW, len(chunk))
-               for key, (rows, buf) in store.items()}
-        recon = _run(model, chunk.T[None, :, :], out)[0]
+        recon = _run(model, chunk.T[None, :, :])[0]
         # row j is offset j of each window; last row first adds each
         # sample's reconstructions in window order
         for j in reversed(range(DEFAULT_WINDOW)):

@@ -105,11 +105,12 @@ def euler_to_quat(angles: EulerAngles) -> np.ndarray:
 
 def _text_lines(path, error):
     """The (number, line) pairs of a UTF-8 text file, one at a time and
-    without their line ends. Text mode splits lines at "\n", "\r" and
-    "\r\n"; surrogateescape decodes each byte that is not UTF-8 to one of
-    U+DC80..U+DCFF, which strict UTF-8 never yields, so a line that does not
-    encode back raises `error` naming the line and its first such byte."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    without their line ends. A leading byte order mark is dropped. Text mode
+    splits lines at "\n", "\r" and "\r\n"; surrogateescape decodes each
+    byte that is not UTF-8 to one of U+DC80..U+DCFF, which strict UTF-8
+    never yields, so a line that does not encode back raises `error` naming
+    the line and its first such byte."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.removesuffix("\n")
             try:
@@ -120,18 +121,18 @@ def _text_lines(path, error):
             yield number, line
 
 
-def _is_header(cells) -> bool:
+def _is_number(cell: str) -> bool:
     try:
-        for c in cells:
-            float(c)
+        float(cell)
     except ValueError:
-        return True
-    return False
+        return False
+    return True
 
 
 def read_table(path, expected_columns: int) -> np.ndarray:
-    """Read a numeric CSV (header row optional) of `expected_columns`
-    columns into a 2-D float array, a line at a time into one float buffer.
+    """Read a numeric CSV of `expected_columns` columns into a 2-D float
+    array, a line at a time into one float buffer. Line 1 is skipped as a
+    header when none of its cells reads as a number.
 
     The first problem in file order raises DataError naming its line: a row
     of another width, a cell that does not parse or is not finite, or a
@@ -144,7 +145,9 @@ def read_table(path, expected_columns: int) -> np.ndarray:
         if not text:
             continue
         cells = text.split(",")
-        if lineno == 1 and _is_header(cells):
+        # a row with one bad cell among numbers is a data row, and its error
+        # names the line
+        if lineno == 1 and not any(map(_is_number, cells)):
             continue
         if len(cells) != expected_columns:
             raise DataError(

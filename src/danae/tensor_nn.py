@@ -12,27 +12,26 @@ backward() consumes the graph: leaves keep their gradients, and every other
 node drops its gradient, closure and parent links once its backward
 function has run, so a batch's activations are freed while its gradients
 are built. backward on a graph that reaches a consumed node raises
-StateError. danae_model.train frees one untouched 8 MB block first, which
-raises glibc's trim threshold to 16 MB, so the heap keeps what each batch
-frees instead of returning it to the kernel to be faulted in again.
+StateError.
 
 The operations also take plain arrays: when no argument is a Tensor they
 return a plain array and build no graph node or closure, so inference keeps
-nothing alive beyond the activations it still needs. On that path conv1d,
-conv1d_transposed, activation and add take a numpy-style `out=`: the result
-is written into that C-contiguous float64 array of the result's shape, which
-is returned, so a caller can keep one destination per layer across calls
-(activation(x, out=x) rectifies in place). `out=` with a Tensor argument is
-a StateError, since a graph node must own its value.
+nothing alive beyond the activations it still needs.
 
-The one exception is activation(x, out=x) with a Tensor x, which rectifies
-x's value in place and returns a node that shares x's buffer. It is safe
-when the rectifier is x's only consumer, as it is for a conv layer's output
-(danae_model.ConvLayer): the rectifier's backward reads only the 1-byte
-mask it takes before the write, and no backward function reads its own
-node's value (a conv's reads its input values, add's none, l2_loss's the
-residual it saved), so nothing reads x's old value after the write. A
-training graph then holds one array per rectified conv, not two.
+activation(x, out=x) rectifies x's value in place, on either path; it is
+the one `out=` any operation takes. For a Tensor x it returns a node that
+shares x's buffer. That is safe when the rectifier is x's only consumer, as
+it is for a conv layer's output (danae_model.ConvLayer): the rectifier's
+backward reads only the 1-byte mask it takes before the write, and no
+backward function reads its own node's value (a conv's reads its input
+values, add's none, l2_loss's the residual it saved), so nothing reads x's
+old value after the write. A training graph then holds one array per
+rectified conv, not two.
+
+Importing this module frees one untouched 8 MB block, which raises glibc's
+trim threshold to 16 MB, so the heap keeps what each training batch or
+inference chunk frees instead of returning it to the kernel to be faulted
+in again.
 
 Convolutions use cross-correlation semantics (no kernel flip) at stride 1.
 The correlation is shift-and-add: one matrix product per kernel tap against
@@ -72,6 +71,15 @@ __all__ = [
 ]
 
 LEAKY_SLOPE = 0.01
+
+# backward frees each batch's graph, and inference each chunk's outputs,
+# several MB at once, which glibc would hand back to the kernel and the next
+# batch or chunk fault in again. Freeing one untouched mmap'd 8 MB block
+# raises glibc's dynamic mmap and trim thresholds to 8 and 16 MB, so the heap
+# keeps that memory for the next batch or chunk. mallopt(M_TRIM_THRESHOLD)
+# would switch the dynamic thresholds off; to other allocators this is a
+# short-lived mapping. Once per process is enough: the thresholds only rise.
+np.empty(1 << 20)
 
 
 class Tensor:
@@ -187,17 +195,14 @@ def _tap_stack(w: np.ndarray, flipped: bool) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
-def _corr(x: np.ndarray, w_taps: np.ndarray, padding: int, dilation: int,
-          out: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlate (I, L, B) with a (k, O, I) tap stack -> (O, T, B), into
-    `out` when given (a checked C-contiguous array of that shape)."""
+def _corr(x: np.ndarray, w_taps: np.ndarray, padding: int, dilation: int) -> np.ndarray:
+    """Cross-correlate (I, L, B) with a (k, O, I) tap stack -> (O, T, B)."""
     taps, t = _taps(x, padding, dilation, len(w_taps))
-    shape = (w_taps.shape[1], t, x.shape[2])
     # contiguous (O, I) tap matrices keep every product on BLAS
-    y = np.matmul(w_taps[0], taps[0], out=None if out is None else out.reshape(shape[0], -1))
+    y = w_taps[0] @ taps[0]
     for w_j, x_j in zip(w_taps[1:], taps[1:]):
         y += w_j @ x_j
-    return y.reshape(shape)
+    return y.reshape(w_taps.shape[1], t, x.shape[2])
 
 
 def _with_batch(data: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -218,40 +223,25 @@ def _value(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _check_out(out: np.ndarray, shape: tuple[int, ...], *args) -> None:
-    """`out=` takes plain-array arguments only, since a graph node owns its
-    value, and a C-contiguous float64 array of the result's shape: a conv
-    writes it through a reshaped view, which other arrays would not give."""
-    if _tensor_parents(*args):
-        raise StateError("out= is for plain arrays; a Tensor result owns its value")
-    if not (isinstance(out, np.ndarray) and out.shape == shape
-            and out.dtype == np.float64 and out.flags.c_contiguous):
-        got = (f"{out.dtype} {out.shape}" if isinstance(out, np.ndarray)
-               else type(out).__name__)
-        raise ShapeError(f"out must be a C-contiguous float64 array of shape {shape}, "
-                         f"got {got}")
-
-
 # ---------------------------------------------------------------------------
 # operations
 
-def conv1d(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec,
-           out: np.ndarray | None = None) -> Tensor | np.ndarray:
+def conv1d(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     """Dilated 1-D convolution, weights (out_ch, in_ch, k), bias (out_ch,) or None."""
     if spec.transposed:
         raise ConfigError("conv1d needs a non-transposed spec")
-    return _conv(x, weights, bias, spec, out)
+    return _conv(x, weights, bias, spec)
 
 
-def conv1d_transposed(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec,
-                      out: np.ndarray | None = None) -> Tensor | np.ndarray:
+def conv1d_transposed(x: Tensor | np.ndarray, weights, bias,
+                      spec: ConvSpec) -> Tensor | np.ndarray:
     """Adjoint of conv1d at the same padding/dilation; weights (in_ch, out_ch, k)."""
     if not spec.transposed:
         raise ConfigError("conv1d_transposed needs a transposed spec")
-    return _conv(x, weights, bias, spec, out)
+    return _conv(x, weights, bias, spec)
 
 
-def _conv(x, weights, bias, spec: ConvSpec, out) -> Tensor | np.ndarray:
+def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     """Shared body of conv1d and conv1d_transposed."""
     wd = _value(weights)
     if wd.shape != spec.weight_shape():
@@ -266,15 +256,9 @@ def _conv(x, weights, bias, spec: ConvSpec, out) -> Tensor | np.ndarray:
         bd = _value(bias)
         if bd.shape != (spec.out_channels,):
             raise ShapeError(f"bias must be ({spec.out_channels},), got {bd.shape}")
-    if out is not None:
-        shape = (spec.out_channels, spec.out_length(xd.shape[1]), xd.shape[2])
-        _check_out(out, shape[:2] if squeeze else shape, x, weights, bias)
-    y = _corr(xd, _tap_stack(wd, spec.transposed), padding, spec.dilation,
-              None if out is None else out.reshape(shape))
+    y = _corr(xd, _tap_stack(wd, spec.transposed), padding, spec.dilation)
     if bias is not None:
         y += bd[:, None, None]
-    if out is not None:
-        return out
     y = y[..., 0] if squeeze else y
     parents = _tensor_parents(x, weights, bias)
     if not parents:
@@ -307,13 +291,18 @@ def activation(x: Tensor | np.ndarray,
     """Leaky rectifier: y = x where x > 0, else LEAKY_SLOPE * x.
 
     activation(x, out=x) rectifies x's value in place, for a Tensor x too:
-    the node it returns shares x's buffer (see the module docstring).
+    the node it returns shares x's buffer (see the module docstring). Any
+    other `out`, or an x whose value is not a writable float64 array of its
+    own (a list, another dtype), raises StateError and writes nothing.
     """
     xd = _value(x)
-    if out is x and isinstance(x, Tensor):
+    if out is not None:
+        # a plain x of another type was copied by _value, so only a float64
+        # array is x's own value
+        if out is not x or not (isinstance(x, Tensor) or xd is x) or not xd.flags.writeable:
+            raise StateError("activation takes only out=x, for an x it can rectify "
+                             "in place: a Tensor or a writable float64 array")
         out = xd
-    elif out is not None:
-        _check_out(out, xd.shape, x)
     if not isinstance(x, Tensor):
         return np.maximum(xd, LEAKY_SLOPE * xd, out=out)
     # the graph keeps a 1-byte mask, taken before out=x overwrites x's value
@@ -334,15 +323,12 @@ def activation(x: Tensor | np.ndarray,
     return Tensor(y, (x,), backward_fn)
 
 
-def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray,
-        out: np.ndarray | None = None) -> Tensor | np.ndarray:
+def add(a: Tensor | np.ndarray, b: Tensor | np.ndarray) -> Tensor | np.ndarray:
     """Elementwise sum of two same-shape tensors (the skip-sum primitive)."""
     ad, bd = _value(a), _value(b)
     if ad.shape != bd.shape:
         raise ShapeError(f"cannot add shapes {ad.shape} and {bd.shape}")
-    if out is not None:
-        _check_out(out, ad.shape, a, b)
-    y = np.add(ad, bd, out=out)
+    y = ad + bd
     parents = _tensor_parents(a, b)
     if not parents:
         return y

@@ -12,6 +12,7 @@ the table writer formats each cell with an f-string.
 The checkpoint builders at the end feed the loaders' error tests.
 """
 
+import codecs
 import io
 import json
 import math
@@ -197,9 +198,10 @@ def relative_error(a, b):
 def _whole_file_lines(path, error):
     """(lines, byte error) of a whole decoded file: every line and None for
     UTF-8 text; otherwise the lines before the text line that holds the
-    first bad byte, and that byte's error. "\r", "\n" and "\r\n" each end
-    one line."""
-    raw = Path(path).read_bytes()
+    first bad byte, and that byte's error. A leading byte order mark is
+    dropped, as "utf-8-sig" does. "\r", "\n" and "\r\n" each end one
+    line."""
+    raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return io.StringIO(raw.decode("utf-8"), newline=None).readlines(), None
     except UnicodeDecodeError as err:
@@ -216,10 +218,16 @@ def read_table_reference(path, expected_columns):
     lines, byte_error = _whole_file_lines(path, DataError)
     rows = []
     start = 0
+    # line 1 is a header when none of its cells is a number
     if lines and lines[0].strip():
-        try:
-            [float(c) for c in lines[0].strip().split(",")]
-        except ValueError:
+        numbers = 0
+        for c in lines[0].strip().split(","):
+            try:
+                float(c)
+                numbers += 1
+            except ValueError:
+                pass
+        if numbers == 0:
             start = 1
     for lineno, line in enumerate(lines[start:], start=start + 1):
         text = line.strip()

@@ -305,11 +305,11 @@ class TestTrain:
     def test_no_page_faults_per_batch(self):
         # backward frees each batch's graph, several MB at once; glibc handed
         # that heap top back to the kernel and the next batch faulted it in
-        # again, unless train has raised the trim threshold first. 20 extra
+        # again, unless the trim threshold was raised first. 20 extra
         # batches (32 -> 352 windows) added 6.6k minor faults while the graph
         # lived on into the next batch, 15.4k with it freed in backward alone,
-        # and none (3 766 -> 3 720) with train's 8 MB block freed first. A
-        # fresh interpreter has glibc's default thresholds.
+        # and none (3 797 -> 3 800) with tensor_nn's 8 MB block freed at
+        # import. A fresh interpreter has glibc's default thresholds.
         code = textwrap.dedent("""
             import resource, sys
             import numpy as np
@@ -368,12 +368,14 @@ def _graph_denoise(model, series, angle_id, chunk_size=256):
 
 
 class TestDenoiseSeries:
-    def test_bit_equal_to_graph_building_forward(self):
+    @pytest.mark.parametrize("channels, n", [(8, 600), (128, 100)])
+    def test_bit_equal_to_graph_building_forward(self, channels, n):
         rng = np.random.default_rng(12)
-        model = build_model(5, channels=8)
-        # 581 windows: nineteen DENOISE_CHUNK chunks here and three
-        # 256-window chunks in the reference, the last of each short
-        n = 600
+        model = build_model(5, channels=channels)
+        # 8 channels, 581 windows: nineteen DENOISE_CHUNK chunks here and
+        # three 256-window chunks in the reference, the last of each short;
+        # the shipped 128 channels, 81 windows: three chunks here, the last
+        # short, and one in the reference
         series = AngleSeries(np.arange(n) * 0.01, rng.normal(size=(n, 3)) * 0.3)
         out = denoise_series(model, series, "pitch")
         assert out.pitch.tobytes() == _graph_denoise(model, series, "pitch").tobytes()
@@ -398,9 +400,10 @@ class TestDenoiseSeries:
 
     def test_peak_memory_is_one_small_chunk(self):
         # one 32-window chunk of the 128-channel model holds 655 kB per
-        # 128-channel buffer, six of them kept for the call (the four skips
-        # and two shared by the decoder); a 256-window chunk put the peak
-        # near 48 MB, and twelve kept buffers at 9.5 MB
+        # 128-channel array: the four skips and the few decoder arrays live
+        # at once, each freed when the chunk is done (5.3 MB). A 256-window
+        # chunk put the peak near 48 MB, twelve buffers kept for the call at
+        # 9.5 MB, and six kept buffers shared by liveness at 6.2 MB
         model = build_model(3)
         n = 1300
         series = AngleSeries(np.arange(n) * 0.01,
@@ -418,9 +421,12 @@ class TestDenoiseSeries:
     def test_no_page_faults_per_chunk(self):
         # freeing each chunk's layer outputs let glibc hand them back to the
         # kernel and fault them in again for the next chunk: 1 300 -> 3 000
-        # samples added 79k minor faults; with the outputs kept for the call
-        # it adds almost none. A fresh interpreter has the default heap
-        # trim threshold, which the test process's earlier work has raised.
+        # samples added 79k minor faults. tensor_nn's 8 MB block, freed at
+        # import, raises glibc's trim threshold so the heap keeps them, and
+        # the longer series adds almost none (1 471 -> 1 473), as it did
+        # with the outputs kept in buffers for the call. A fresh interpreter
+        # has glibc's default thresholds, which the test process's earlier
+        # work has raised.
         code = textwrap.dedent("""
             import resource, sys
             import numpy as np

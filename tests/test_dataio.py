@@ -185,6 +185,19 @@ class TestCsvRoundTrip:
             "4.9406564584124654e-324,1.0000000000000001e+300,-0\n"
         ).encode()
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_byte_order_mark_before_line_1(self, tmp_path, header):
+        # a UTF-8 byte order mark is dropped: a headerless file keeps its
+        # first row, and a header is still skipped alone
+        series = AngleSeries([0.0, 0.1, 0.2], [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]])
+        path = tmp_path / "angles.csv"
+        write_angle_csv(path, series)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"\xef\xbb\xbf" + b"".join(lines if header else lines[1:]))
+        loaded = read_angle_csv(path)
+        assert loaded.t.tobytes() == series.t.tobytes()
+        assert loaded.angles.tobytes() == series.angles.tobytes()
+
     @pytest.mark.parametrize("name", ["angles.csv.gz", "angles.csv.bz2", "angles.csv.xz"])
     def test_compression_suffix_still_writes_plain_text(self, tmp_path, name):
         series = AngleSeries([0.0, 0.5], [[0.25, -0.0, 1.0], [2.0, 3.0, -4.0]])
@@ -210,7 +223,12 @@ def test_non_utf8_byte_names_the_line(tmp_path):
     (b"t,roll,pitch,yaw\r0,0,x,0\r0.1,0,\xff,0\n",
      ":2: could not convert string to float: 'x'"),
     (b"t,roll,pitch,yaw\r\n0,0,0,0\r0.1,0,\xff,0\r0.2,x,0,0\n", ":3: byte 0xff is not UTF-8 text"),
-], ids=["row_then_byte", "byte_then_row", "one_piece", "byte_on_cr_line"])
+    # a first row with one bad cell among numbers is data, not a header
+    (b"0.0,0.1,O.2,0.3\n0.1,0,0,0\n", ":1: could not convert string to float: 'O.2'"),
+    # a byte order mark is not part of the first cell
+    (b"\xef\xbb\xbf0,0,0\n0.1,0,0,0\n", ":1: expected 4 columns, got 3"),
+], ids=["row_then_byte", "byte_then_row", "one_piece", "byte_on_cr_line", "bad_cell_in_row_1",
+        "bom_then_short_row_1"])
 def test_table_reader_raises_the_first_problem_in_file_order(tmp_path, raw, message):
     path = tmp_path / "angles.csv"
     path.write_bytes(raw)

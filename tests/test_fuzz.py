@@ -147,6 +147,12 @@ _CONFIG_TEXT = st.text(st.sampled_from("ab=#1 \t\r\n"), max_size=60)
 @example(raw=b"1,2\rx,2\r\xff\n", columns=2)
 @example(raw=b"1,2\r\xff\rx,2\n", columns=2)
 @example(raw=b"t,a\r1,2\r\n\r3,4\r", columns=2)
+# a byte order mark before a header, before a row and before a bad byte;
+# a first row with one bad cell among numbers
+@example(raw=b"\xef\xbb\xbft,a\n1,2\n", columns=2)
+@example(raw=b"\xef\xbb\xbf1,2\n3,4\n", columns=2)
+@example(raw=b"\xef\xbb\xbf\xff\n1,2\n", columns=2)
+@example(raw=b"1,x\n3,4\n", columns=2)
 def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
     input_file.write_bytes(raw)
     assert (_outcome(lambda path: read_table(path, columns), input_file)
@@ -158,6 +164,7 @@ def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
 @example(raw=b"a=1\rb\n\xff")
 @example(raw=b"a=1\r\xff\rb\n")
 @example(raw=b"a=1\n\xff\nb\n")
+@example(raw=b"\xef\xbb\xbfa=1\n\xff\n")
 def test_config_reader_matches_whole_file_reference(input_file, raw):
     input_file.write_bytes(raw)
     assert _outcome(read_config_file, input_file) == _outcome(read_config_reference,
