@@ -193,27 +193,25 @@ def cmd_synth(args):
 
 
 def _load_imu(args):
-    if args.dataset == "synthetic":
-        return read_imu_csv(args.imu), None
     if args.dataset == "oxiod":
         if not args.vicon:
             raise ConfigError("--dataset oxiod requires --vicon for the ground-truth file")
         return load_oxiod(args.imu, args.vicon)
     if args.dataset == "ucs":
         return load_ucs(args.imu)
-    raise ConfigError(f"unknown dataset kind {args.dataset!r}")
+    return read_imu_csv(args.imu), None
 
 
 def cmd_kf(args):
+    if args.gt_out and args.dataset == "synthetic":
+        raise ConfigError("--gt-out needs a dataset with ground truth "
+                          "(synthetic ground truth comes from the synth step)")
     imu, gt = _load_imu(args)
     estimates = run_kf(imu)
     out = Path(args.out)
     write_angle_csv(out, estimates)
     outputs = [out]
     if args.gt_out:
-        if gt is None:
-            raise ConfigError("--gt-out needs a dataset with ground truth "
-                              "(synthetic ground truth comes from the synth step)")
         write_angle_csv(args.gt_out, gt)
         outputs.append(Path(args.gt_out))
     log.info("wrote %s (%d samples)", out, len(estimates))

@@ -242,7 +242,7 @@ def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float
     return history
 
 
-def denoise_series(model: DanaeModel, series: AngleSeries, angle_id="roll") -> AngleSeries:
+def denoise_series(model: DanaeModel, series: AngleSeries, angle_id) -> AngleSeries:
     """Denoise one angle track of a series; other tracks pass through.
 
     A DEFAULT_WINDOW-long window slides with stride 1 and every output sample

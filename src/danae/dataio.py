@@ -207,8 +207,7 @@ def write_imu_csv(path, series: ImuSeries) -> None:
 def read_imu_csv(path) -> ImuSeries:
     data = read_table(path, expected_columns=10)
     _check_monotonic(path, data[:, 0])
-    return ImuSeries(data[:, 0], data[:, 1:4], data[:, 4:7], data[:, 7:10],
-                     source="synthetic")
+    return ImuSeries(data[:, 0], data[:, 1:4], data[:, 4:7], data[:, 7:10])
 
 
 def _normalized_rows(m):
@@ -245,7 +244,7 @@ def load_oxiod(imu_path, vicon_path) -> tuple[ImuSeries, AngleSeries]:
     gyro = imu[:, 4:7]
     accel = (imu[:, 7:10] + imu[:, 10:13]) * STANDARD_GRAVITY
     mag = _normalized_rows(imu[:, 13:16])
-    series = ImuSeries(t, gyro, accel, mag, source="oxiod")
+    series = ImuSeries(t, gyro, accel, mag)
 
     quats = vicon[:, 4:8]
     gt = np.empty((len(vicon), 3))
@@ -265,8 +264,7 @@ def load_ucs(path) -> tuple[ImuSeries, AngleSeries]:
     data = read_table(path, expected_columns=UCS_COLUMNS)
     _check_monotonic(path, data[:, 0])
     t = data[:, 0]
-    series = ImuSeries(t, data[:, 1:4], data[:, 4:7],
-                       _normalized_rows(data[:, 7:10]), source="ucs")
+    series = ImuSeries(t, data[:, 1:4], data[:, 4:7], _normalized_rows(data[:, 7:10]))
     truth = AngleSeries(t, data[:, 10:13],
                         {"source": "ucs", "yaw_reliable": False})
     return series, truth
@@ -398,7 +396,7 @@ def synth_trajectory(cfg: SynthConfig) -> tuple[ImuSeries, AngleSeries]:
     accel = accel + rng.normal(0.0, cfg.accel_noise, (n, 3))
     mag = mag + rng.normal(0.0, cfg.mag_noise, (n, 3))
 
-    series = ImuSeries(t, gyro, accel, mag, source="synthetic")
+    series = ImuSeries(t, gyro, accel, mag)
     truth = AngleSeries(t, angles, {"source": "synthetic", "seed": cfg.seed})
     return series, truth
 

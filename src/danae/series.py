@@ -51,13 +51,6 @@ class EulerAngles:
     pitch: float
     yaw: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.roll, self.pitch, self.yaw])
-
-    def wrapped(self) -> "EulerAngles":
-        r, p, y = wrap_angle(self.as_array())
-        return EulerAngles(r, p, y)
-
 
 def _as_matrix(name, values, cols):
     a = np.asarray(values, dtype=float)
@@ -88,12 +81,11 @@ class ImuSeries:
     the series must contain at least two samples.
     """
 
-    def __init__(self, t, gyro, accel, mag, source: str = "synthetic"):
+    def __init__(self, t, gyro, accel, mag):
         self.t = np.asarray(t, dtype=float).reshape(-1)
         self.gyro = _as_matrix("gyro", gyro, 3)
         self.accel = _as_matrix("accel", accel, 3)
         self.mag = _as_matrix("mag", mag, 3)
-        self.source = source
         n = len(self.t)
         if not (n == len(self.gyro) == len(self.accel) == len(self.mag)):
             raise ShapeError("imu channel lengths disagree")
@@ -117,8 +109,7 @@ class ImuSeries:
     def __getitem__(self, key: slice) -> "ImuSeries":
         """A sub-series; there is no per-sample view, so only slices are taken."""
         _check_slice(key)
-        return ImuSeries(self.t[key], self.gyro[key], self.accel[key],
-                         self.mag[key], self.source)
+        return ImuSeries(self.t[key], self.gyro[key], self.accel[key], self.mag[key])
 
     # without this, iter() would fall back to __getitem__(0), (1), ...
     __iter__ = None

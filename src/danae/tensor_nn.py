@@ -445,21 +445,15 @@ def adam_step(params, grads, state: AdamState):
     state.step_count += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step_count
     c2 = 1.0 - ADAM_BETA2 ** state.step_count
-    # every intermediate goes to one scratch buffer that is freed on return
-    scratch = np.empty(max((p.data.size for p in params), default=0))
     for p, g, m, v in zip(params, grads, state.m, state.v):
         g = np.asarray(g, dtype=np.float64)
         if g.shape != p.data.shape:
             raise ShapeError(f"grad shape {g.shape} vs param shape {p.data.shape}")
-        t = scratch[:g.size].reshape(g.shape)
         m *= ADAM_BETA1
-        m += np.multiply(1.0 - ADAM_BETA1, g, out=t)
+        m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
-        v += np.multiply(1.0 - ADAM_BETA2, np.square(g, out=t), out=t)
-        np.sqrt(np.divide(v, c2, out=t), out=t)
-        t += ADAM_EPS
-        np.divide(m, t, out=t)
-        p.data -= np.multiply(state.lr / c1, t, out=t)
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p.data -= (state.lr / c1) * (m / (np.sqrt(v / c2) + ADAM_EPS))
     return params, state
 
 

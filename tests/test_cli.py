@@ -155,6 +155,13 @@ class TestKf:
                    "--out", kf_path, "--gt-out", gt_path) == 0
         assert len(read_angle_csv(gt_path)) == 200
 
+    def test_synthetic_gt_out_exits_2_before_writing(self, synth_dir, tmp_path, caplog):
+        kf_path = tmp_path / "kf.csv"
+        assert run("kf", "--imu", synth_dir / "imu.csv", "--out", kf_path,
+                   "--gt-out", tmp_path / "gt.csv") == 2
+        assert "--gt-out needs a dataset with ground truth" in caplog.text
+        assert not kf_path.exists()
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):

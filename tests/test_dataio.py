@@ -25,7 +25,7 @@ from danae.dataio import (
 )
 from danae.errors import ConfigError, DataError, InvalidInputError
 from danae.evalkit import deviations
-from danae.series import AngleSeries, EulerAngles, ImuSeries, angle_index
+from danae.series import AngleSeries, EulerAngles, ImuSeries, angle_index, wrap_angle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,7 +77,6 @@ class TestLoadOxiod:
         assert imu.accel[0] == pytest.approx(want, abs=1e-9)
         # magnetics are normalized on load
         assert np.linalg.norm(imu.mag[0]) == pytest.approx(1.0, abs=1e-12)
-        assert imu.source == "oxiod"
 
     def test_ground_truth_resampled_to_imu_clock(self):
         imu, gt = load_oxiod(FIXTURES / "oxiod_imu.csv", FIXTURES / "oxiod_vicon.csv")
@@ -118,7 +117,6 @@ class TestLoadUcs:
             [-3.01057733, 0.0580671781, 9.37889186], abs=1e-12)
         assert gt.angles[0] == pytest.approx([0.0, 0.294514845, 0.727437941],
                                              abs=1e-12)
-        assert imu.source == "ucs"
 
     def test_yaw_flagged_unreliable(self):
         _, gt = load_ucs(FIXTURES / "ucs.csv")
@@ -473,11 +471,12 @@ class TestSeriesTypes:
         with pytest.raises(InvalidInputError):
             angle_index(angle_id)
 
-    def test_euler_angles_wrapping(self):
-        e = EulerAngles(3 * math.pi, 0.2, -3 * math.pi / 2).wrapped()
-        assert e.roll == pytest.approx(math.pi)
-        assert e.pitch == pytest.approx(0.2)
-        assert e.yaw == pytest.approx(math.pi / 2)
+    def test_wrap_angle(self):
+        wrapped = wrap_angle([3 * math.pi, 0.2, -3 * math.pi / 2])
+        assert wrapped == pytest.approx([math.pi, 0.2, math.pi / 2])
+        # the interval is half-open: -pi maps to pi, and pi stays
+        assert wrap_angle(-math.pi) == math.pi
+        assert wrap_angle(math.pi) == math.pi
 
 
 class TestConfigFile:

@@ -682,8 +682,9 @@ class TestAdam:
 
 
     def test_bit_equal_to_reference_expression(self):
-        # the update written with a fresh array per intermediate; the scratch
-        # buffer form must give the same bits for parameters and moments
+        # the textbook update, transcribed apart from adam_step; both must give
+        # the same bits for parameters and moments, so a rewrite of adam_step
+        # (say, into preallocated buffers) cannot change a trained model
         def reference(p, g, m, v, step, lr=0.002, b1=0.9, b2=0.999, eps=1e-8):
             c1 = 1.0 - b1 ** step
             c2 = 1.0 - b2 ** step
