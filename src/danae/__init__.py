@@ -21,7 +21,6 @@ from .danae_model import (
     TrainConfig,
     build_model,
     denoise_series,
-    forward,
     load_model,
     save_model,
     train,
@@ -59,7 +58,7 @@ __all__ = [
     "EulerAngles", "KfConfig", "KfState",
     "accel_to_roll_pitch", "mag_to_yaw", "gyro_delta", "kf_step", "run_kf",
     "integrate_gyro", "measurement_angles",
-    "DanaeModel", "TrainConfig", "build_model", "forward", "train",
+    "DanaeModel", "TrainConfig", "build_model", "train",
     "denoise_series", "save_model", "load_model",
     "AngleSeries", "ImuSeries", "WindowSet", "SynthConfig",
     "FractionSplit",

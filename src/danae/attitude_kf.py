@@ -61,6 +61,8 @@ class KfConfig:
             m = np.eye(self.n) if m is None else np.array(m, dtype=float)
             if m.shape != (self.n, self.n):
                 raise ShapeError(f"{name} must be ({self.n}, {self.n}), got {m.shape}")
+            if not np.all(np.isfinite(m)):
+                raise InvalidInputError(f"{name} holds a NaN or an infinity")
             m.flags.writeable = False
             object.__setattr__(self, name, m)
         for name in ("Q", "R", "P0"):
@@ -208,9 +210,7 @@ def _gain(cfg: KfConfig, prior: bytes) -> tuple[np.ndarray, np.ndarray]:
     P = np.frombuffer(prior).reshape(cfg.n, cfg.n)
     P_pred = cfg.A @ P @ cfg.A.T + cfg.Q
     S = cfg.C @ P_pred @ cfg.C.T + cfg.R
-    with np.errstate(all="ignore"):  # np.linalg.cond's value: inf for a singular S
-        s = np.linalg.svd(S, compute_uv=False)
-        cond = s[0] / s[-1] if s[-1] > 0 else np.inf
+    cond = np.linalg.cond(S)  # inf for a singular S
     if not np.isfinite(cond) or cond > MAX_INNOVATION_COND:
         raise NumericalError(
             f"innovation covariance is not invertible (condition number {cond:.3e})"

@@ -51,7 +51,6 @@ __all__ = [
     "DanaeModel",
     "TrainConfig",
     "build_model",
-    "forward",
     "train",
     "denoise_series",
     "save_model",
@@ -135,7 +134,8 @@ class TrainConfig:
         check_integer("epochs", self.epochs, 1)
         check_integer("batch_size", self.batch_size, 1)
         check_integer("seed", self.seed, 0)
-        if not (isinstance(self.lr, numbers.Real) and math.isfinite(self.lr) and self.lr > 0):
+        if not (isinstance(self.lr, numbers.Real) and not isinstance(self.lr, bool)
+                and math.isfinite(self.lr) and self.lr > 0):
             raise ConfigError(f"lr must be a finite number > 0, got {self.lr!r}")
 
 
@@ -176,7 +176,8 @@ def build_model(seed: int, channels: int = DEFAULT_CHANNELS) -> DanaeModel:
 
 
 def _run(model: DanaeModel, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
-    """The forward pass; the only description of the skip wiring.
+    """The one forward pass, on a (1, DEFAULT_WINDOW, batch) stack of windows;
+    the only description of the skip wiring.
 
     The layers run in model.layers() order, each on the stream. An enc*
     output is kept as a skip, and a std* layer first adds the oldest unused
@@ -191,14 +192,6 @@ def _run(model: DanaeModel, x: Tensor | np.ndarray) -> Tensor | np.ndarray:
         if name.startswith("enc"):
             skips.append(h)
     return h
-
-
-def forward(model: DanaeModel, window) -> Tensor:
-    """Reconstruct one (1, DEFAULT_WINDOW) window."""
-    x = window if isinstance(window, Tensor) else Tensor(window)
-    if x.data.shape != (1, DEFAULT_WINDOW):
-        raise ShapeError(f"expected shape (1, {DEFAULT_WINDOW}), got {x.data.shape}")
-    return _run(model, x)
 
 
 def train(model: DanaeModel, windows: WindowSet, cfg: TrainConfig) -> list[float]:

@@ -300,7 +300,7 @@ class SynthConfig:
         check_integer("seed", self.seed, 0)
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
             if not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")

@@ -36,9 +36,9 @@ class StateError(DanaeError):
 
 
 def check_integer(name: str, value, minimum: int) -> None:
-    """Raise ConfigError unless `value` is an integer >= `minimum`; `name`
-    is the setting the message names."""
-    if not isinstance(value, numbers.Integral):
+    """Raise ConfigError unless `value` is an integer >= `minimum`, a bool
+    not counting as one; `name` is the setting the message names."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{name} must be >= {minimum}, got {value}")

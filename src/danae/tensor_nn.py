@@ -4,9 +4,10 @@ Everything is float64 numpy. A Tensor wraps a value array plus a gradient
 slot; operations build a reverse-mode graph and backward() walks it once in
 topological order. Each node's backward function owns the gradient array it
 is handed and may overwrite it or pass it on to a parent (the rectifier
-scales it in place). Activations are (channels, length) arrays, optionally
-with a trailing batch axis; parameters reuse the same Tensor type with
-their natural shapes.
+scales it in place). Activations have one layout, (channels, length, batch):
+a single window is a batch of one, and a convolution raises ShapeError for
+any other number of axes. Parameters reuse the same Tensor type with their
+natural shapes.
 
 backward() consumes the graph: leaves keep their gradients, and every other
 node drops its gradient, closure and parent links once its backward
@@ -205,16 +206,6 @@ def _corr(x: np.ndarray, w_taps: np.ndarray, padding: int, dilation: int) -> np.
     return y.reshape(w_taps.shape[1], t, x.shape[2])
 
 
-def _with_batch(data: np.ndarray) -> tuple[np.ndarray, bool]:
-    if data.ndim == 2:
-        return data[:, :, None], True
-    if data.ndim == 3:
-        return data, False
-    raise ShapeError(
-        f"expected (channels, length) or (channels, length, batch), got {data.shape}"
-    )
-
-
 def _tensor_parents(*candidates):
     return tuple(c for c in candidates if isinstance(c, Tensor))
 
@@ -227,7 +218,8 @@ def _value(x) -> np.ndarray:
 # operations
 
 def conv1d(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
-    """Dilated 1-D convolution, weights (out_ch, in_ch, k), bias (out_ch,) or None."""
+    """Dilated 1-D convolution of an (in_ch, length, batch) input, weights
+    (out_ch, in_ch, k), bias (out_ch,) or None."""
     if spec.transposed:
         raise ConfigError("conv1d needs a non-transposed spec")
     return _conv(x, weights, bias, spec)
@@ -246,7 +238,9 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     wd = _value(weights)
     if wd.shape != spec.weight_shape():
         raise ShapeError(f"weights must be {spec.weight_shape()}, got {wd.shape}")
-    xd, squeeze = _with_batch(_value(x))
+    xd = _value(x)
+    if xd.ndim != 3:
+        raise ShapeError(f"input must be (channels, length, batch), got {xd.shape}")
     if xd.shape[0] != spec.in_channels:
         raise ShapeError(f"input has {xd.shape[0]} channels, spec wants {spec.in_channels}")
     # the scatter form is a correlation with the flipped tap stack and
@@ -259,29 +253,27 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     y = _corr(xd, _tap_stack(wd, spec.transposed), padding, spec.dilation)
     if bias is not None:
         y += bd[:, None, None]
-    y = y[..., 0] if squeeze else y
     parents = _tensor_parents(x, weights, bias)
     if not parents:
         return y
 
     def backward_fn(g):
-        g3 = g[:, :, None] if squeeze else g
         if isinstance(x, Tensor):
             # the adjoint correlation runs on the other form of the stack
-            dx = _corr(g3, _tap_stack(wd, not spec.transposed), spec.span - padding,
+            dx = _corr(g, _tap_stack(wd, not spec.transposed), spec.span - padding,
                        spec.dilation)
-            _accumulate(x, dx[..., 0] if squeeze else dx, owned=True)
+            _accumulate(x, dx, owned=True)
         if isinstance(weights, Tensor):
             # tap j's gradient is g against tap j's input; the transposed conv
             # stores taps swapped and reversed, and `out` keeps them C-ordered
             taps, _ = _taps(xd, padding, spec.dilation, spec.kernel_size)
-            g2 = g3.reshape(g3.shape[0], -1)
+            g2 = g.reshape(g.shape[0], -1)
             dw = [g2 @ x_j.T for x_j in taps]
             if spec.transposed:
                 dw = [d.T for d in reversed(dw)]
             _accumulate(weights, np.stack(dw, axis=2, out=np.empty(wd.shape)), owned=True)
         if isinstance(bias, Tensor):
-            _accumulate(bias, g3.sum(axis=(1, 2)), owned=True)
+            _accumulate(bias, g.sum(axis=(1, 2)), owned=True)
 
     return Tensor(y, parents, backward_fn)
 
@@ -525,6 +517,9 @@ def read_checkpoint(path) -> tuple[dict, dict]:
     for index, entry in enumerate(header["arrays"]):
         if not _is_array_entry(entry):
             raise DataError(f"{path}: malformed checkpoint array entry {index}")
+        if entry["name"] in arrays:
+            raise DataError(f"{path}: checkpoint array entry {index} repeats the name "
+                            f"{entry['name']!r}")
         shape = tuple(entry["shape"])
         end = off + 8 * math.prod(shape)
         if end > len(raw):

@@ -293,6 +293,12 @@ def corrupt_checkpoints(good_path, out_dir):
     """
     raw = Path(good_path).read_bytes()
     meta, arrays = read_checkpoint(good_path)
+    # enc0.w listed a second time, with an all-7.0 payload after the real ones
+    entries = [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
+    entries.append({"name": "enc0.w", "shape": list(arrays["enc0.w"].shape)})
+    payloads = [*arrays.values(), np.full(arrays["enc0.w"].shape, 7.0)]
+    repeated = (header_only_checkpoint({"meta": meta, "arrays": entries})
+                + b"".join(p.astype("<f8").tobytes() for p in payloads))
     files = {
         "version_0": (raw[:9] + struct.pack("<I", 0) + raw[13:], ConfigError),
         "13_bytes": (raw[:13], DataError),
@@ -301,6 +307,7 @@ def corrupt_checkpoints(good_path, out_dir):
         "bad_array_entry": (
             header_only_checkpoint({"meta": meta, "arrays": [{"name": "enc0.w"}]}),
             DataError),
+        "enc0_w_repeated": (repeated, DataError),
     }
     cases = {}
     for case, (data, error) in files.items():

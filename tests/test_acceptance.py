@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from danae.attitude_kf import KfConfig, KfState, kf_step, run_kf
-from danae.danae_model import TrainConfig, build_model, denoise_series, forward, train
+from danae.danae_model import TrainConfig, _run, build_model, denoise_series, train
 from danae.dataio import FractionSplit, SynthConfig, make_windows, split, synth_trajectory
 from danae.evalkit import deviations
 from danae.series import AngleSeries
@@ -73,17 +73,18 @@ def test_convolutions_match_naive_oracle_and_adjoint():
         spec = ConvSpec(in_ch, out_ch, k, dilation=dilation, padding=padding)
         w = rng.normal(size=spec.weight_shape())
         b = rng.normal(size=out_ch)
-        x = rng.normal(size=(in_ch, length))
-        got = conv1d(Tensor(x), Tensor(w), Tensor(b), spec).data
-        want = conv1d_reference(x, w, b, padding, dilation)
+        # a (channels, length, 1) batch of one; the oracles take (channels, length)
+        x = rng.normal(size=(in_ch, length, 1))
+        got = conv1d(Tensor(x), Tensor(w), Tensor(b), spec).data[..., 0]
+        want = conv1d_reference(x[..., 0], w, b, padding, dilation)
         worst_fwd = max(worst_fwd, float(np.max(np.abs(got - want))))
 
         spec_t = ConvSpec(out_ch, in_ch, k, dilation=dilation, padding=padding,
                           transposed=True)
-        u = rng.normal(size=(out_ch, spec.out_length(length)))
+        u = rng.normal(size=(out_ch, spec.out_length(length), 1))
         bt = rng.normal(size=in_ch)
-        got_t = conv1d_transposed(Tensor(u), Tensor(w), Tensor(bt), spec_t).data
-        want_t = conv1d_transposed_reference(u, w, bt, padding, dilation)
+        got_t = conv1d_transposed(Tensor(u), Tensor(w), Tensor(bt), spec_t).data[..., 0]
+        want_t = conv1d_transposed_reference(u[..., 0], w, bt, padding, dilation)
         worst_fwd = max(worst_fwd, float(np.max(np.abs(got_t - want_t))))
 
         lhs = float(np.sum(got_nobias(x, w, spec) * u))
@@ -113,23 +114,23 @@ def test_gradients_match_finite_differences():
     spec = ConvSpec(2, 3, 3, dilation=2, padding=2)
     w = Tensor(rng.normal(size=spec.weight_shape()))
     b = Tensor(rng.normal(size=3))
-    x = Tensor(rng.normal(size=(2, 12)))
-    t1 = rng.normal(size=(3, 12))
+    x = Tensor(rng.normal(size=(2, 12, 1)))
+    t1 = rng.normal(size=(3, 12, 1))
     finite_difference_check(lambda: l2_loss(conv1d(x, w, b, spec), t1),
                             [w, b, x], rng)
 
     spec_t = ConvSpec(3, 2, 3, dilation=2, padding=1, transposed=True)
     wt = Tensor(rng.normal(size=spec_t.weight_shape()))
     bt = Tensor(rng.normal(size=2))
-    xt = Tensor(rng.normal(size=(3, 9)))
-    t2 = rng.normal(size=(2, spec_t.out_length(9)))
+    xt = Tensor(rng.normal(size=(3, 9, 1)))
+    t2 = rng.normal(size=(2, spec_t.out_length(9), 1))
     finite_difference_check(lambda: l2_loss(conv1d_transposed(xt, wt, bt, spec_t), t2),
                             [wt, bt, xt], rng)
 
     model = build_model(99, channels=4)
-    xm = Tensor(rng.normal(size=(1, 20)))
-    tm = rng.normal(size=(1, 20))
-    finite_difference_check(lambda: l2_loss(forward(model, xm), tm),
+    xm = Tensor(rng.normal(size=(1, 20, 1)))
+    tm = rng.normal(size=(1, 20, 1))
+    finite_difference_check(lambda: l2_loss(_run(model, xm), tm),
                             model.parameters(), rng)
 
     elapsed = time.perf_counter() - started

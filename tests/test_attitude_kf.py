@@ -297,6 +297,17 @@ class TestConfigValidation:
         with pytest.raises(InvalidInputError):
             KfConfig(R=r)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["A", "B", "C", "Q", "R", "P0"])
+    def test_non_finite_entry_rejected_naming_the_matrix(self, name, value):
+        # one used to build: run_kf then leaked numpy's LinAlgError or blamed
+        # its own output, and a NaN in Q, R or P0 read as an asymmetry
+        for index in [(0, 1), (2, 2)]:
+            m = np.eye(3)
+            m[index] = value
+            with pytest.raises(InvalidInputError, match=f"^{name} holds a NaN or an infinity$"):
+                KfConfig(**{name: m})
+
 
 def _unmemoised_kf_step(state, cfg, u, y):
     """kf_step with the gain computed on every call, expression for expression."""

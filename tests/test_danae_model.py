@@ -20,7 +20,6 @@ from danae.danae_model import (
     _run,
     build_model,
     denoise_series,
-    forward,
     load_model,
     save_model,
     train,
@@ -158,56 +157,69 @@ def _trained(**settings):
     (lambda: _used_spec(2, 3, padding=0.5), "padding must be an integer, got 0.5"),
     (lambda: build_model(0, channels=2.5), "out_channels must be an integer, got 2.5"),
     (lambda: KfConfig(n=2.0), "n must be an integer, got 2.0"),
+    # a bool is an int to Python, not a count or a rate to a config
+    (lambda: TrainConfig(epochs=True), "epochs must be an integer, got True"),
+    (lambda: TrainConfig(lr=True), "lr must be a finite number > 0, got True"),
+    (lambda: build_model(True), "seed must be an integer, got True"),
+    (lambda: ConvSpec(True, True), "in_channels must be an integer, got True"),
+    (lambda: SynthConfig(roll_amp=True), "roll_amp must be a number, got True"),
+    (lambda: KfConfig(n=True), "n must be an integer, got True"),
 ], ids=["synth_seed", "synth_duration", "epochs", "batch_size", "lr", "in_channels",
-        "dilation", "padding", "channels", "kf_n"])
+        "dilation", "padding", "channels", "kf_n", "bool_epochs", "bool_lr", "bool_seed",
+        "bool_in_channels", "bool_synth_real", "bool_kf_n"])
 def test_setting_of_the_wrong_type_raises_config_error(make, message):
-    # each used to reach library callers as a builtin TypeError
+    # each used to reach library callers as a builtin TypeError; a bool
+    # used to build
     with pytest.raises(ConfigError, match=f"^{message}$"):
         make()
 
 
 class TestForward:
+    """The graph-building forward pass, _run on a Tensor, on one window: a
+    (1, DEFAULT_WINDOW, 1) batch of one."""
+
     def test_zero_input_gives_finite_window(self):
         model = build_model(3, channels=8)
-        y = forward(model, np.zeros((1, 20)))
-        assert y.data.shape == (1, 20)
+        y = _run(model, Tensor(np.zeros((1, 20, 1))))
+        assert y.data.shape == (1, 20, 1)
         assert np.all(np.isfinite(y.data))
 
     def test_shape_preserved_for_random_parameters(self):
         rng = np.random.default_rng(0)
         for seed in range(3):
             model = build_model(seed, channels=4)
-            y = forward(model, rng.normal(size=(1, 20)))
-            assert y.data.shape == (1, 20)
+            y = _run(model, Tensor(rng.normal(size=(1, 20, 1))))
+            assert y.data.shape == (1, 20, 1)
 
     def test_all_zero_parameters_give_zero_output(self):
         model = build_model(0, channels=4)
         for p in model.parameters():
             p.data[:] = 0.0
-        y = forward(model, np.ones((1, 20)))
-        assert np.array_equal(y.data, np.zeros((1, 20)))
+        y = _run(model, Tensor(np.ones((1, 20, 1))))
+        assert np.array_equal(y.data, np.zeros((1, 20, 1)))
 
     def test_purity_same_input_same_output(self):
         model = build_model(5, channels=8)
-        x = np.random.default_rng(1).normal(size=(1, 20))
-        assert np.array_equal(forward(model, x).data, forward(model, x).data)
+        x = np.random.default_rng(1).normal(size=(1, 20, 1))
+        assert np.array_equal(_run(model, Tensor(x)).data, _run(model, Tensor(x)).data)
 
     def test_wrong_shape_rejected(self):
+        # two channels, and an unbatched (channels, length) window
         model = build_model(0, channels=4)
         with pytest.raises(ShapeError):
-            forward(model, np.zeros((1, 19)))
+            _run(model, Tensor(np.zeros((2, 20, 1))))
         with pytest.raises(ShapeError):
-            forward(model, np.zeros((2, 20)))
+            _run(model, Tensor(np.zeros((1, 20))))
 
     @pytest.mark.parametrize("channels", [2, 4])
     def test_toy_model_end_to_end_gradients(self, channels):
         rng = np.random.default_rng(200 + channels)
         model = build_model(7, channels=channels)
-        x = Tensor(rng.normal(size=(1, 20)))
-        target = rng.normal(size=(1, 20))
+        x = Tensor(rng.normal(size=(1, 20, 1)))
+        target = rng.normal(size=(1, 20, 1))
 
         def build():
-            return l2_loss(forward(model, x), target)
+            return l2_loss(_run(model, x), target)
 
         finite_difference_check(build, model.parameters(), rng,
                                 coords_per_param=4)
@@ -470,7 +482,7 @@ class TestDenoiseSeries:
         series = AngleSeries(np.arange(20) * 0.01,
                              np.column_stack([track, np.zeros(20), np.zeros(20)]))
         stitched = denoise_series(model, series, "roll").roll
-        direct = forward(model, track[None, :]).data[0]
+        direct = _run(model, Tensor(track[None, :, None])).data[0, :, 0]
         assert np.allclose(stitched, direct, atol=1e-12)
 
     def test_short_series_rejected(self):

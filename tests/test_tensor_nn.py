@@ -1,3 +1,4 @@
+import re
 import weakref
 
 import numpy as np
@@ -29,7 +30,13 @@ from helpers import (
 )
 
 
+def _one(rows):
+    """rows as a float64 (channels, length, 1) batch of one window."""
+    return np.asarray(rows, dtype=np.float64)[..., None]
+
+
 def _rand_conv_case(rng, transposed=False):
+    """A random spec, weights, bias and a (channels, length, 1) input."""
     in_ch = int(rng.integers(1, 4))
     out_ch = int(rng.integers(1, 4))
     k = int(rng.choice([1, 3, 5]))
@@ -43,22 +50,22 @@ def _rand_conv_case(rng, transposed=False):
     length += max(0, 1 - spec.out_length(length))
     w = rng.normal(size=spec.weight_shape())
     b = rng.normal(size=out_ch)
-    x = rng.normal(size=(in_ch, length))
+    x = rng.normal(size=(in_ch, length, 1))
     return spec, w, b, x
 
 
 class TestConv1d:
     def test_identity_kernel(self):
         spec = ConvSpec(1, 1, 3, padding=1)
-        y = conv1d(Tensor([[1.0, 2.0, 3.0, 4.0]]),
+        y = conv1d(Tensor(_one([[1.0, 2.0, 3.0, 4.0]])),
                    Tensor([[[0.0, 1.0, 0.0]]]), Tensor([0.0]), spec)
-        assert np.array_equal(y.data, [[1.0, 2.0, 3.0, 4.0]])
+        assert np.array_equal(y.data, _one([[1.0, 2.0, 3.0, 4.0]]))
 
     def test_box_kernel_hand_sum(self):
         spec = ConvSpec(1, 1, 3, padding=1)
-        y = conv1d(Tensor([[1.0, 1.0, 1.0, 1.0]]),
+        y = conv1d(Tensor(_one([[1.0, 1.0, 1.0, 1.0]])),
                    Tensor(np.ones((1, 1, 3))), Tensor([0.0]), spec)
-        assert np.array_equal(y.data, [[2.0, 3.0, 3.0, 2.0]])
+        assert np.array_equal(y.data, _one([[2.0, 3.0, 3.0, 2.0]]))
 
     def test_dilated_against_triple_loop(self):
         # frozen from the naive oracle on this exact input
@@ -67,15 +74,15 @@ class TestConv1d:
         w = np.ones((1, 1, 3))
         want = conv1d_reference(x, w, None, 2, 2)
         assert np.array_equal(want, [[1.0, 0.0, 2.0, 0.0, 1.0]])
-        y = conv1d(Tensor(x), Tensor(w), None, spec)
-        assert np.array_equal(y.data, want)
+        y = conv1d(Tensor(_one(x)), Tensor(w), None, spec)
+        assert np.array_equal(y.data, _one(want))
 
     def test_matches_oracle_on_random_cases(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             spec, w, b, x = _rand_conv_case(rng)
             y = conv1d(Tensor(x), Tensor(w), Tensor(b), spec)
-            want = conv1d_reference(x, w, b, spec.padding, spec.dilation)
+            want = _one(conv1d_reference(x[..., 0], w, b, spec.padding, spec.dilation))
             assert y.data.shape == want.shape
             assert np.max(np.abs(y.data - want)) < 1e-12
 
@@ -87,8 +94,8 @@ class TestConv1d:
         batch = rng.normal(size=(2, 9, 4))  # (channels, length, batch)
         stacked = conv1d(Tensor(batch), w, b, spec).data
         for i in range(4):
-            single = conv1d(Tensor(batch[:, :, i]), w, b, spec).data
-            assert np.array_equal(stacked[:, :, i], single)
+            single = conv1d(Tensor(batch[:, :, i:i + 1]), w, b, spec).data
+            assert np.array_equal(stacked[:, :, i:i + 1], single)
 
     def test_length_preservation_lemma(self):
         # padding = dilation * (k - 1) / 2 keeps the length for odd k
@@ -97,14 +104,26 @@ class TestConv1d:
             for k in (1, 3, 5):
                 pad = d * (k - 1) // 2
                 spec = ConvSpec(1, 1, k, dilation=d, padding=pad)
-                x = rng.normal(size=(1, 20))
+                x = rng.normal(size=(1, 20, 1))
                 y = conv1d(Tensor(x), Tensor(rng.normal(size=(1, 1, k))), None, spec)
-                assert y.data.shape == (1, 20)
+                assert y.data.shape == (1, 20, 1)
 
     def test_impossible_length_rejected(self):
         spec = ConvSpec(1, 1, 5, dilation=3, padding=0)
         with pytest.raises(ShapeError):
-            conv1d(Tensor(np.ones((1, 4))), Tensor(np.ones((1, 1, 5))), None, spec)
+            conv1d(Tensor(np.ones((1, 4, 1))), Tensor(np.ones((1, 1, 5))), None, spec)
+
+    @pytest.mark.parametrize("op", [conv1d, conv1d_transposed])
+    @pytest.mark.parametrize("wrap", [Tensor, np.asarray], ids=["tensor", "array"])
+    def test_input_of_another_layout_rejected(self, op, wrap):
+        # activations are (channels, length, batch) only: an unbatched
+        # window, a bare track or an extra axis is a ShapeError naming the
+        # shape, on the graph path and the plain-array path alike
+        spec = ConvSpec(2, 2, 3, padding=1, transposed=op is conv1d_transposed)
+        w, b = np.ones(spec.weight_shape()), np.zeros(2)
+        for shape in [(), (2,), (2, 8), (2, 8, 1, 1)]:
+            with pytest.raises(ShapeError, match=re.escape(f"got {shape}")):
+                op(wrap(np.ones(shape)), wrap(w), wrap(b), spec)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -118,15 +137,15 @@ class TestConv1d:
 class TestConv1dTransposed:
     def test_single_sample_scatter(self):
         spec = ConvSpec(1, 1, 3, padding=0, transposed=True)
-        y = conv1d_transposed(Tensor([[1.0]]), Tensor(np.ones((1, 1, 3))),
+        y = conv1d_transposed(Tensor(_one([[1.0]])), Tensor(np.ones((1, 1, 3))),
                               Tensor([0.0]), spec)
-        assert np.array_equal(y.data, [[1.0, 1.0, 1.0]])
+        assert np.array_equal(y.data, _one([[1.0, 1.0, 1.0]]))
 
     def test_identity_round_trip(self):
         spec = ConvSpec(1, 1, 3, padding=1)
         spec_t = ConvSpec(1, 1, 3, padding=1, transposed=True)
         ident = Tensor(np.array([[[0.0, 1.0, 0.0]]]))
-        x = Tensor([[0.5, -1.0, 2.0, 0.0, 3.0]])
+        x = Tensor(_one([[0.5, -1.0, 2.0, 0.0, 3.0]]))
         y = conv1d(x, ident, None, spec)
         back = conv1d_transposed(y, ident, None, spec_t)
         assert np.allclose(back.data, x.data)
@@ -136,7 +155,8 @@ class TestConv1dTransposed:
         for _ in range(100):
             spec, w, b, x = _rand_conv_case(rng, transposed=True)
             y = conv1d_transposed(Tensor(x), Tensor(w), Tensor(b), spec)
-            want = conv1d_transposed_reference(x, w, b, spec.padding, spec.dilation)
+            want = _one(conv1d_transposed_reference(x[..., 0], w, b, spec.padding,
+                                                    spec.dilation))
             assert y.data.shape == want.shape
             assert np.max(np.abs(y.data - want)) < 1e-12
 
@@ -146,7 +166,7 @@ class TestConv1dTransposed:
         for _ in range(100):
             spec, w, _, x = _rand_conv_case(rng)
             y_len = spec.out_length(x.shape[1])
-            y = rng.normal(size=(spec.out_channels, y_len))
+            y = rng.normal(size=(spec.out_channels, y_len, 1))
             spec_t = ConvSpec(spec.out_channels, spec.in_channels,
                               spec.kernel_size, dilation=spec.dilation,
                               padding=spec.padding, transposed=True)
@@ -262,9 +282,9 @@ def _danae_model(rng):
 def _conv_added_to_itself(rng):
     spec = ConvSpec(2, 3, 3, padding=1)
     w, b = Tensor(rng.normal(size=spec.weight_shape())), Tensor(rng.normal(size=3))
-    x = Tensor(rng.normal(size=(2, 7)))
+    x = Tensor(rng.normal(size=(2, 7, 1)))
     y = conv1d(x, w, b, spec)
-    return l2_loss(add(y, y), rng.normal(size=(3, 7))), [w, b, x]
+    return l2_loss(add(y, y), rng.normal(size=(3, 7, 1))), [w, b, x]
 
 
 def _leaf_added_to_itself(rng):
@@ -301,8 +321,8 @@ class TestBackward:
         spec = ConvSpec(1, 1, 3, padding=1)
         w = Tensor(np.zeros((1, 1, 3)))
         b = Tensor(np.zeros(1))
-        x = Tensor(np.random.default_rng(0).normal(size=(1, 8)))
-        loss = l2_loss(conv1d(x, w, b, spec), np.zeros((1, 8)))
+        x = Tensor(np.random.default_rng(0).normal(size=(1, 8, 1)))
+        loss = l2_loss(conv1d(x, w, b, spec), np.zeros((1, 8, 1)))
         backward(loss)
         assert np.array_equal(w.grad, np.zeros((1, 1, 3)))
         assert np.array_equal(b.grad, np.zeros(1))
@@ -312,8 +332,8 @@ class TestBackward:
         rng = np.random.default_rng(9)
         w = Tensor(rng.normal(size=(1, 1, 3)))
         b = Tensor(rng.normal(size=1))
-        x = Tensor(rng.normal(size=(1, 6)))
-        target = rng.normal(size=(1, 6))
+        x = Tensor(rng.normal(size=(1, 6, 1)))
+        target = rng.normal(size=(1, 6, 1))
 
         y = conv1d(x, w, b, spec)
         loss = l2_loss(add(y, y), 2.0 * target)
@@ -329,9 +349,9 @@ class TestBackward:
     def test_grad_accumulates_across_calls(self):
         spec = ConvSpec(1, 1, 3, padding=1)
         w = Tensor(np.ones((1, 1, 3)))
-        x = Tensor(np.ones((1, 4)))
+        x = Tensor(np.ones((1, 4, 1)))
         for expected_scale in (1.0, 2.0):
-            loss = l2_loss(conv1d(x, w, None, spec), np.zeros((1, 4)))
+            loss = l2_loss(conv1d(x, w, None, spec), np.zeros((1, 4, 1)))
             backward(loss)
             assert np.allclose(w.grad, expected_scale * _single_pass_grad())
 
@@ -377,13 +397,13 @@ class TestBackward:
         rng = np.random.default_rng(19)
         spec = ConvSpec(2, 3, 3, padding=1)
         leaves = [Tensor(rng.normal(size=spec.weight_shape())), Tensor(rng.normal(size=3)),
-                  Tensor(rng.normal(size=(2, 7)))]
+                  Tensor(rng.normal(size=(2, 7, 1)))]
         pred = activation(conv1d(leaves[2], leaves[0], leaves[1], spec))
         value = pred.data.copy()
-        backward(l2_loss(pred, rng.normal(size=(3, 7))))
+        backward(l2_loss(pred, rng.normal(size=(3, 7, 1))))
         first = [t.grad.tobytes() for t in leaves]
         assert np.array_equal(pred.data, value)
-        loss = l2_loss(add(pred, Tensor(np.ones((3, 7)))), np.zeros((3, 7)))
+        loss = l2_loss(add(pred, Tensor(np.ones((3, 7, 1)))), np.zeros((3, 7, 1)))
         with pytest.raises(StateError, match="graph already consumed by backward"):
             backward(loss)
         assert [t.grad.tobytes() for t in leaves] == first
@@ -420,8 +440,8 @@ class TestBackward:
 def _single_pass_grad():
     spec = ConvSpec(1, 1, 3, padding=1)
     w = Tensor(np.ones((1, 1, 3)))
-    x = Tensor(np.ones((1, 4)))
-    loss = l2_loss(conv1d(x, w, None, spec), np.zeros((1, 4)))
+    x = Tensor(np.ones((1, 4, 1)))
+    loss = l2_loss(conv1d(x, w, None, spec), np.zeros((1, 4, 1)))
     backward(loss)
     return w.grad
 
@@ -485,8 +505,8 @@ class TestGradientsAgainstFiniteDifferences:
         spec = ConvSpec(2, 3, 3, dilation=2, padding=2)
         w = Tensor(rng.normal(size=spec.weight_shape()))
         b = Tensor(rng.normal(size=3))
-        x = Tensor(rng.normal(size=(2, 9)))
-        target = rng.normal(size=(3, 9))
+        x = Tensor(rng.normal(size=(2, 9, 1)))
+        target = rng.normal(size=(3, 9, 1))
         finite_difference_check(
             lambda: l2_loss(conv1d(x, w, b, spec), target), [w, b, x], rng)
 
@@ -495,8 +515,8 @@ class TestGradientsAgainstFiniteDifferences:
         spec = ConvSpec(3, 2, 3, dilation=2, padding=1, transposed=True)
         w = Tensor(rng.normal(size=spec.weight_shape()))
         b = Tensor(rng.normal(size=2))
-        x = Tensor(rng.normal(size=(3, 7)))
-        target = rng.normal(size=(2, spec.out_length(7)))
+        x = Tensor(rng.normal(size=(3, 7, 1)))
+        target = rng.normal(size=(2, spec.out_length(7), 1))
         finite_difference_check(
             lambda: l2_loss(conv1d_transposed(x, w, b, spec), target), [w, b, x], rng)
 
@@ -505,8 +525,8 @@ class TestGradientsAgainstFiniteDifferences:
         spec = ConvSpec(2, 2, 3, padding=1)
         w = Tensor(rng.normal(size=spec.weight_shape()))
         b = Tensor(rng.normal(size=2))
-        x = Tensor(rng.normal(size=(2, 8)))
-        target = rng.normal(size=(2, 8))
+        x = Tensor(rng.normal(size=(2, 8, 1)))
+        target = rng.normal(size=(2, 8, 1))
 
         def build():
             y = activation(conv1d(x, w, b, spec))
@@ -524,17 +544,17 @@ class TestBatchedBackward:
         batch = 3
         for _ in range(20):
             spec, w, b, x = _rand_conv_case(rng, transposed=op is conv1d_transposed)
-            xs = rng.normal(size=x.shape + (batch,))
+            xs = rng.normal(size=x.shape[:2] + (batch,))
             target = rng.normal(size=(spec.out_channels, spec.out_length(x.shape[1]), batch))
             wt, bt, xt = Tensor(w), Tensor(b), Tensor(xs)
             backward(l2_loss(op(xt, wt, bt, spec), target))
             dw, db, dx = np.zeros_like(w), np.zeros_like(b), np.zeros_like(xs)
             for i in range(batch):
-                wi, bi, xi = Tensor(w), Tensor(b), Tensor(xs[:, :, i])
-                backward(l2_loss(op(xi, wi, bi, spec), target[:, :, i]))
+                wi, bi, xi = Tensor(w), Tensor(b), Tensor(xs[:, :, i:i + 1])
+                backward(l2_loss(op(xi, wi, bi, spec), target[:, :, i:i + 1]))
                 dw += wi.grad
                 db += bi.grad
-                dx[:, :, i] = xi.grad
+                dx[:, :, i:i + 1] = xi.grad
             assert np.max(np.abs(batch * wt.grad - dw)) < 1e-12
             assert np.max(np.abs(batch * bt.grad - db)) < 1e-12
             assert np.max(np.abs(batch * xt.grad - dx)) < 1e-12
@@ -547,11 +567,12 @@ class TestArrayPath:
     @pytest.mark.parametrize("op", [conv1d, conv1d_transposed])
     @pytest.mark.parametrize("batch", [None, 3])
     def test_conv_bit_equal_to_tensor_path(self, op, batch):
+        # batch None keeps the case's batch of one
         rng = np.random.default_rng(61)
         for _ in range(60):
             spec, w, b, x = _rand_conv_case(rng, transposed=op is conv1d_transposed)
             if batch is not None:
-                x = rng.normal(size=x.shape + (batch,))
+                x = rng.normal(size=x.shape[:2] + (batch,))
             for bias in (b, None):
                 tensor_bias = None if bias is None else Tensor(bias)
                 ref = op(Tensor(x), Tensor(w), tensor_bias, spec)
@@ -629,12 +650,12 @@ class TestArrayPath:
         rng = np.random.default_rng(64)
         spec = ConvSpec(2, 3, 3, padding=1)
         w = rng.normal(size=spec.weight_shape())
-        x = rng.normal(size=(2, 6))
+        x = rng.normal(size=(2, 6, 1))
         wt = Tensor(w)
         y = conv1d(x, wt, None, spec)
         assert isinstance(y, Tensor)
         assert isinstance(add(y.data, y), Tensor)
-        backward(l2_loss(activation(y), np.zeros((3, 6))))
+        backward(l2_loss(activation(y), np.zeros((3, 6, 1))))
         assert wt.grad is not None and np.any(wt.grad != 0.0)
 
 
@@ -721,7 +742,7 @@ class TestDeterminism:
         spec = ConvSpec(2, 2, 3, dilation=2, padding=2)
         w = rng.normal(size=spec.weight_shape())
         b = rng.normal(size=2)
-        x = rng.normal(size=(2, 16))
+        x = rng.normal(size=(2, 16, 1))
         first = conv1d(Tensor(x), Tensor(w), Tensor(b), spec).data
         second = conv1d(Tensor(x), Tensor(w), Tensor(b), spec).data
         assert np.array_equal(first, second)
@@ -781,6 +802,8 @@ class TestCheckpointFile:
         {"meta": {}, "arrays": [{"name": "w", "shape": [-1]}]},
         {"meta": {}, "arrays": [{"name": "w", "shape": [1.5]}]},
         {"meta": {}, "arrays": [{"name": 3, "shape": [1]}]},
+        # a repeated name, whose later payload used to replace the earlier one
+        {"meta": {}, "arrays": [{"name": "w", "shape": [0]}, {"name": "w", "shape": [0]}]},
     ])
     def test_malformed_header_rejected(self, tmp_path, header):
         path = tmp_path / "state.ckpt"
