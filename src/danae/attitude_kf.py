@@ -208,6 +208,8 @@ def _gain(cfg: KfConfig, prior: bytes) -> tuple[np.ndarray, np.ndarray]:
     A failure is not cached: it raises again on every call.
     """
     P = np.frombuffer(prior).reshape(cfg.n, cfg.n)
+    if not np.isfinite(P).all():
+        raise InvalidInputError("P holds a NaN or an infinity")
     P_pred = cfg.A @ P @ cfg.A.T + cfg.Q
     S = cfg.C @ P_pred @ cfg.C.T + cfg.R
     cond = np.linalg.cond(S)  # inf for a singular S

@@ -15,9 +15,10 @@ shipped build):
 A DanaeModel is these layers by name, in this order; the name's prefix
 (enc, std, up) is the layer's role in the wiring.
 
-Every layer pads to preserve the window length (padding = dilation for the
-dilated layers), so all skip sums are shape-aligned. Hidden layers use the
-leaky rectifier; the final conv is linear because angles are unbounded.
+Every convolution preserves the window length (tensor_nn pads each k = 3
+layer by its dilation), so all skip sums are shape-aligned. Hidden layers
+use the leaky rectifier; the final conv is linear because angles are
+unbounded.
 """
 
 from __future__ import annotations
@@ -148,12 +149,12 @@ def _architecture(channels: int) -> list[tuple[str, ConvSpec, bool]]:
     Both fill a DanaeModel's layers straight from its rows.
     """
     c = channels
-    rows = [(f"enc{i}", ConvSpec(1 if i == 0 else c, c, dilation=d, padding=d), True)
+    rows = [(f"enc{i}", ConvSpec(1 if i == 0 else c, c, dilation=d), True)
             for i, d in enumerate(ENCODER_DILATIONS)]
     for i, d in enumerate(DECODER_UP_DILATIONS):
-        rows.append((f"std{i}", ConvSpec(c, c, padding=1), True))
-        rows.append((f"up{i}", ConvSpec(c, c, dilation=d, padding=d, transposed=True), True))
-    rows.append((f"std{len(DECODER_UP_DILATIONS)}", ConvSpec(c, 1, padding=1), False))
+        rows.append((f"std{i}", ConvSpec(c, c), True))
+        rows.append((f"up{i}", ConvSpec(c, c, dilation=d, transposed=True), True))
+    rows.append((f"std{len(DECODER_UP_DILATIONS)}", ConvSpec(c, 1), False))
     return rows
 
 
@@ -269,7 +270,8 @@ def denoise_series(model: DanaeModel, series: AngleSeries, angle_id) -> AngleSer
 # checkpoints
 
 def _layer_meta(name: str, spec: ConvSpec, activate: bool) -> dict:
-    return {"name": name, **asdict(spec), "activate": activate}
+    # padding is derived, not a field, but checkpoints still record it
+    return {"name": name, **asdict(spec), "padding": spec.padding, "activate": activate}
 
 
 def save_model(path, model: DanaeModel, angle_id=None) -> None:

@@ -73,6 +73,8 @@ UCS_COLUMNS = 13
 def quat_to_euler(q) -> EulerAngles:
     """Euler angles (intrinsic Z-Y-X) of a unit quaternion (w, x, y, z)."""
     q = np.asarray(q, dtype=float).reshape(4)
+    if not np.isfinite(q).all():
+        raise InvalidInputError(f"quaternion {q.tolist()} holds a NaN or an infinity")
     norm = np.linalg.norm(q)
     if norm < 1e-12:
         raise InvalidInputError("zero quaternion has no orientation")

@@ -34,13 +34,15 @@ trim threshold to 16 MB, so the heap keeps what each training batch or
 inference chunk frees instead of returning it to the kernel to be faulted
 in again.
 
-Convolutions use cross-correlation semantics (no kernel flip) at stride 1.
-The correlation is shift-and-add: one matrix product per kernel tap against
-a shifted view of the padded input, summed. Each call copies the weights once,
-into a contiguous stack of tap matrices. The transposed convolution runs the
-same correlation on the flipped stack (taps swapped and reversed) with
-complementary padding, so it is the exact adjoint of the forward one:
-<conv(x), y> == <x, conv_t(y)> for shared weights.
+Convolutions use cross-correlation semantics (no kernel flip) at stride 1,
+and every one preserves length: the kernel is odd and the input is padded
+by half the dilated kernel's span on each side (ConvSpec.padding, derived,
+never set). The correlation is shift-and-add: one matrix product per kernel
+tap against a shifted view of the padded input, summed. Each call copies the
+weights once, into a contiguous stack of tap matrices. The transposed
+convolution runs the same correlation on the flipped stack (taps swapped and
+reversed) at the same padding, so it is the exact adjoint of the forward
+one: <conv(x), y> == <x, conv_t(y)> for shared weights.
 """
 
 from __future__ import annotations
@@ -121,31 +123,27 @@ def _accumulate(t: Tensor, g: np.ndarray, owned: bool = False) -> None:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """Geometry of one convolution layer (stride is fixed at 1)."""
+    """Geometry of one convolution layer: stride 1, an odd kernel, and an
+    output as long as the input."""
 
     in_channels: int
     out_channels: int
     kernel_size: int = 3
     dilation: int = 1
-    padding: int = 0
     transposed: bool = False
 
     def __post_init__(self):
-        for name, minimum in (("in_channels", 1), ("out_channels", 1), ("kernel_size", 1),
-                              ("dilation", 1), ("padding", 0)):
-            check_integer(name, getattr(self, name), minimum)
+        for name in ("in_channels", "out_channels", "kernel_size", "dilation"):
+            check_integer(name, getattr(self, name), 1)
         if self.kernel_size % 2 == 0:
             raise ConfigError(f"kernel_size must be odd, got {self.kernel_size}")
+        if type(self.transposed) is not bool:
+            raise ConfigError(f"transposed must be a bool, got {self.transposed!r}")
 
     @property
-    def span(self) -> int:
-        """Length covered by the dilated kernel: dilation * (kernel_size - 1)."""
-        return self.dilation * (self.kernel_size - 1)
-
-    def out_length(self, in_length: int) -> int:
-        if self.transposed:
-            return in_length - 2 * self.padding + self.span
-        return in_length + 2 * self.padding - self.span
+    def padding(self) -> int:
+        """Zeros on each side of the input: half the dilated kernel's span."""
+        return self.dilation * (self.kernel_size - 1) // 2
 
     def weight_shape(self) -> tuple[int, int, int]:
         if self.transposed:
@@ -156,36 +154,22 @@ class ConvSpec:
 # ---------------------------------------------------------------------------
 # correlation core on (channels, length, batch) arrays
 #
-# The batch axis trails so that each tap's shifted input x_pad[:, j*d : j*d+T, :]
-# of a contiguous x_pad reshapes to a strided (channels, T * batch) view without
+# The batch axis trails so that each tap's shifted input x_pad[:, j*d : j*d+L, :]
+# of a contiguous x_pad reshapes to a strided (channels, L * batch) view without
 # a copy, and every contraction below is one BLAS call per tap.
 
-def _pad_or_crop(x: np.ndarray, p: int) -> np.ndarray:
+def _taps(x: np.ndarray, spec: ConvSpec) -> list:
+    """The kernel_size shifted inputs of spec's correlation on (C, L, B), each
+    a (C, L * B) array."""
     c, length, b = x.shape
-    if p == 0:
-        return x
-    if p > 0:
-        # only the two halos need zeros; the interior is overwritten anyway
-        out = np.empty((c, length + 2 * p, b))
-        out[:, :p, :] = 0.0
-        out[:, p + length:, :] = 0.0
-        out[:, p:p + length, :] = x
-        return out
-    return x[:, -p:length + p, :]
-
-
-def _taps(x: np.ndarray, padding: int, dilation: int, k: int) -> tuple[list, int]:
-    """The k shifted inputs of a correlation as (C, T * B) arrays, and T."""
-    c, length, b = x.shape
-    t = length + 2 * padding - dilation * (k - 1)
-    if t < 1:
-        raise ShapeError(
-            f"output length {t} for input length {length}, padding {padding}, "
-            f"dilation {dilation}, kernel {k}"
-        )
-    xp = _pad_or_crop(x, padding)
-    return [xp[:, j * dilation:j * dilation + t, :].reshape(c, t * b)
-            for j in range(k)], t
+    p, d = spec.padding, spec.dilation
+    # only the two halos need zeros; the interior is overwritten anyway
+    xp = np.empty((c, length + 2 * p, b))
+    xp[:, :p, :] = 0.0
+    xp[:, p + length:, :] = 0.0
+    xp[:, p:p + length, :] = x
+    return [xp[:, j * d:j * d + length, :].reshape(c, length * b)
+            for j in range(spec.kernel_size)]
 
 
 def _tap_stack(w: np.ndarray, flipped: bool) -> np.ndarray:
@@ -196,14 +180,14 @@ def _tap_stack(w: np.ndarray, flipped: bool) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 0, 1))
 
 
-def _corr(x: np.ndarray, w_taps: np.ndarray, padding: int, dilation: int) -> np.ndarray:
-    """Cross-correlate (I, L, B) with a (k, O, I) tap stack -> (O, T, B)."""
-    taps, t = _taps(x, padding, dilation, len(w_taps))
+def _corr(x: np.ndarray, w_taps: np.ndarray, spec: ConvSpec) -> np.ndarray:
+    """Cross-correlate (I, L, B) with a (k, O, I) tap stack -> (O, L, B)."""
+    taps = _taps(x, spec)
     # contiguous (O, I) tap matrices keep every product on BLAS
     y = w_taps[0] @ taps[0]
     for w_j, x_j in zip(w_taps[1:], taps[1:]):
         y += w_j @ x_j
-    return y.reshape(w_taps.shape[1], t, x.shape[2])
+    return y.reshape(w_taps.shape[1], *x.shape[1:])
 
 
 def _tensor_parents(*candidates):
@@ -227,7 +211,7 @@ def conv1d(x: Tensor | np.ndarray, weights, bias, spec: ConvSpec) -> Tensor | np
 
 def conv1d_transposed(x: Tensor | np.ndarray, weights, bias,
                       spec: ConvSpec) -> Tensor | np.ndarray:
-    """Adjoint of conv1d at the same padding/dilation; weights (in_ch, out_ch, k)."""
+    """Adjoint of conv1d at the same dilation; weights (in_ch, out_ch, k)."""
     if not spec.transposed:
         raise ConfigError("conv1d_transposed needs a transposed spec")
     return _conv(x, weights, bias, spec)
@@ -243,14 +227,14 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
         raise ShapeError(f"input must be (channels, length, batch), got {xd.shape}")
     if xd.shape[0] != spec.in_channels:
         raise ShapeError(f"input has {xd.shape[0]} channels, spec wants {spec.in_channels}")
-    # the scatter form is a correlation with the flipped tap stack and
-    # complementary padding
-    padding = spec.span - spec.padding if spec.transposed else spec.padding
+    if xd.shape[1] < 1:
+        raise ShapeError("input has no samples")
     if bias is not None:
         bd = _value(bias)
         if bd.shape != (spec.out_channels,):
             raise ShapeError(f"bias must be ({spec.out_channels},), got {bd.shape}")
-    y = _corr(xd, _tap_stack(wd, spec.transposed), padding, spec.dilation)
+    # the scatter form is a correlation with the flipped tap stack
+    y = _corr(xd, _tap_stack(wd, spec.transposed), spec)
     if bias is not None:
         y += bd[:, None, None]
     parents = _tensor_parents(x, weights, bias)
@@ -260,13 +244,12 @@ def _conv(x, weights, bias, spec: ConvSpec) -> Tensor | np.ndarray:
     def backward_fn(g):
         if isinstance(x, Tensor):
             # the adjoint correlation runs on the other form of the stack
-            dx = _corr(g, _tap_stack(wd, not spec.transposed), spec.span - padding,
-                       spec.dilation)
+            dx = _corr(g, _tap_stack(wd, not spec.transposed), spec)
             _accumulate(x, dx, owned=True)
         if isinstance(weights, Tensor):
             # tap j's gradient is g against tap j's input; the transposed conv
             # stores taps swapped and reversed, and `out` keeps them C-ordered
-            taps, _ = _taps(xd, padding, spec.dilation, spec.kernel_size)
+            taps = _taps(xd, spec)
             g2 = g.reshape(g.shape[0], -1)
             dw = [g2 @ x_j.T for x_j in taps]
             if spec.transposed:

@@ -1,16 +1,21 @@
-"""Regenerate the bundled loader fixtures from the synthetic scenario.
+"""Regenerate the bundled fixtures: loader inputs from the synthetic
+scenario, and one small model checkpoint.
 
-Run from the repository root:  python3 tests/fixtures/generate_fixtures.py
+Run from the repository root:  PYTHONPATH=src python3 tests/fixtures/generate_fixtures.py
 
-The fixtures are small excerpts in the documented dataset schemas, produced
-from one seeded synthetic trajectory so that loader tests have exact
-expectations. Real OxIOD/UCS recordings are not redistributed here.
+The CSV fixtures are small excerpts in the documented dataset schemas,
+produced from one seeded synthetic trajectory so that loader tests have
+exact expectations. Real OxIOD/UCS recordings are not redistributed here.
+model_4ch.ckpt is a seeded 4-channel model as save_model writes it; a test
+checks that today's save_model still writes those bytes, so any change to
+the checkpoint format shows as a diff of this file.
 """
 
 from pathlib import Path
 
 import numpy as np
 
+from danae.danae_model import build_model, save_model
 from danae.dataio import (
     STANDARD_GRAVITY,
     SynthConfig,
@@ -18,6 +23,7 @@ from danae.dataio import (
     euler_to_quat,
     synth_trajectory,
 )
+from danae.series import EulerAngles
 
 HERE = Path(__file__).parent
 
@@ -64,7 +70,7 @@ def main() -> None:
         for i in range(vn):
             # nearest dense sample to this vicon timestamp
             j = int(np.argmin(np.abs(dense_gt.t - vt[i])))
-            q = euler_to_quat(dense_gt[j])
+            q = euler_to_quat(EulerAngles(*dense_gt.angles[j]))
             fh.write(fmt([vt[i], *pos[i], *q]) + "\n")
 
     # UCS-style file: one table with the onboard orientation as ground truth.
@@ -75,6 +81,8 @@ def main() -> None:
         for i in range(n):
             fh.write(fmt([imu.t[i], *imu.gyro[i], *imu.accel[i],
                           *imu.mag[i], *gt.angles[i]]) + "\n")
+
+    save_model(HERE / "model_4ch.ckpt", build_model(7, channels=4), angle_id="roll")
 
     print(f"wrote fixtures to {HERE}")
 

@@ -68,23 +68,21 @@ def test_convolutions_match_naive_oracle_and_adjoint():
         in_ch, out_ch = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         k = int(rng.choice([1, 3, 5]))
         dilation = int(rng.integers(1, 4))
-        padding = int(rng.integers(0, dilation * (k - 1) + 1))
         length = int(rng.integers(dilation * (k - 1) + 1, 16))
-        spec = ConvSpec(in_ch, out_ch, k, dilation=dilation, padding=padding)
+        spec = ConvSpec(in_ch, out_ch, k, dilation=dilation)
         w = rng.normal(size=spec.weight_shape())
         b = rng.normal(size=out_ch)
         # a (channels, length, 1) batch of one; the oracles take (channels, length)
         x = rng.normal(size=(in_ch, length, 1))
         got = conv1d(Tensor(x), Tensor(w), Tensor(b), spec).data[..., 0]
-        want = conv1d_reference(x[..., 0], w, b, padding, dilation)
+        want = conv1d_reference(x[..., 0], w, b, spec.padding, dilation)
         worst_fwd = max(worst_fwd, float(np.max(np.abs(got - want))))
 
-        spec_t = ConvSpec(out_ch, in_ch, k, dilation=dilation, padding=padding,
-                          transposed=True)
-        u = rng.normal(size=(out_ch, spec.out_length(length), 1))
+        spec_t = ConvSpec(out_ch, in_ch, k, dilation=dilation, transposed=True)
+        u = rng.normal(size=(out_ch, length, 1))
         bt = rng.normal(size=in_ch)
         got_t = conv1d_transposed(Tensor(u), Tensor(w), Tensor(bt), spec_t).data[..., 0]
-        want_t = conv1d_transposed_reference(u[..., 0], w, bt, padding, dilation)
+        want_t = conv1d_transposed_reference(u[..., 0], w, bt, spec.padding, dilation)
         worst_fwd = max(worst_fwd, float(np.max(np.abs(got_t - want_t))))
 
         lhs = float(np.sum(got_nobias(x, w, spec) * u))
@@ -111,7 +109,7 @@ def test_gradients_match_finite_differences():
     started = time.perf_counter()
     rng = np.random.default_rng(20242)
 
-    spec = ConvSpec(2, 3, 3, dilation=2, padding=2)
+    spec = ConvSpec(2, 3, 3, dilation=2)
     w = Tensor(rng.normal(size=spec.weight_shape()))
     b = Tensor(rng.normal(size=3))
     x = Tensor(rng.normal(size=(2, 12, 1)))
@@ -119,11 +117,11 @@ def test_gradients_match_finite_differences():
     finite_difference_check(lambda: l2_loss(conv1d(x, w, b, spec), t1),
                             [w, b, x], rng)
 
-    spec_t = ConvSpec(3, 2, 3, dilation=2, padding=1, transposed=True)
+    spec_t = ConvSpec(3, 2, 3, dilation=2, transposed=True)
     wt = Tensor(rng.normal(size=spec_t.weight_shape()))
     bt = Tensor(rng.normal(size=2))
     xt = Tensor(rng.normal(size=(3, 9, 1)))
-    t2 = rng.normal(size=(2, spec_t.out_length(9), 1))
+    t2 = rng.normal(size=(2, 9, 1))
     finite_difference_check(lambda: l2_loss(conv1d_transposed(xt, wt, bt, spec_t), t2),
                             [wt, bt, xt], rng)
 

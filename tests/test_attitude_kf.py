@@ -371,6 +371,19 @@ class TestGainMemo:
                 kf_step(KfState(np.zeros(1), np.zeros((1, 1))), cfg, [0.0], [0.0])
         assert attitude_kf._gain.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("fill", ["nan", "inf"])
+    def test_non_finite_covariance_raises_on_every_call(self, fill):
+        # numpy's LinAlgError, after a matmul warning, used to escape instead
+        with np.errstate(invalid="ignore"):
+            # eye * inf holds NaN off the diagonal (0 * inf)
+            P = np.full((3, 3), np.nan) if fill == "nan" else np.eye(3) * np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(3):
+                with pytest.raises(InvalidInputError, match="^P holds a NaN or an infinity$"):
+                    kf_step(KfState(np.zeros(3), P), KfConfig(), np.zeros(3), np.zeros(3))
+        assert attitude_kf._gain.cache_info().currsize == 0
+
 
 def _step(cfg):
     return kf_step(KfState(np.zeros(3), np.eye(3)), cfg, np.zeros(3), np.ones(3))

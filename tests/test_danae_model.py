@@ -33,6 +33,8 @@ from danae.tensor_nn import (CHECKPOINT_MAGIC, ConvSpec, Tensor, l2_loss, read_c
 from helpers import corrupt_checkpoints
 from test_tensor_nn import finite_difference_check
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
 
 def _fresh_interpreter_count(code, arg):
     """The integer `code` prints when run with `arg` in a new interpreter on
@@ -138,7 +140,7 @@ class TestBuildModel:
 
 def _used_spec(*args, **kwargs):
     spec = ConvSpec(*args, **kwargs)
-    return np.zeros((*spec.weight_shape(), spec.out_length(DEFAULT_WINDOW)))
+    return np.zeros(spec.weight_shape())
 
 
 def _trained(**settings):
@@ -154,7 +156,8 @@ def _trained(**settings):
     (lambda: _trained(lr="0.1"), "lr must be a finite number > 0, got '0.1'"),
     (lambda: _used_spec(2.5, 3), "in_channels must be an integer, got 2.5"),
     (lambda: _used_spec(2, 3, dilation=1.5), "dilation must be an integer, got 1.5"),
-    (lambda: _used_spec(2, 3, padding=0.5), "padding must be an integer, got 0.5"),
+    # padding is derived: one passed where it used to go lands in `transposed`
+    (lambda: _used_spec(2, 3, 3, 1, 0.5), "transposed must be a bool, got 0.5"),
     (lambda: build_model(0, channels=2.5), "out_channels must be an integer, got 2.5"),
     (lambda: KfConfig(n=2.0), "n must be an integer, got 2.0"),
     # a bool is an int to Python, not a count or a rate to a config
@@ -521,6 +524,18 @@ class TestSaveLoad:
         path = tmp_path / "model.ckpt"
         save_model(path, build_model(0, channels=4), angle_id=1)
         assert load_model(path)[1]["angle"] == "pitch"
+
+    def test_checkpoint_bytes_match_the_checked_in_fixture(self, tmp_path):
+        # model_4ch.ckpt is save_model's output at an earlier commit
+        # (tests/fixtures/generate_fixtures.py): saving the same model, and
+        # loading the fixture and saving it again, must still give its bytes
+        want = (FIXTURES / "model_4ch.ckpt").read_bytes()
+        path = tmp_path / "model.ckpt"
+        save_model(path, build_model(7, channels=4), angle_id="roll")
+        assert path.read_bytes() == want
+        model, meta = load_model(FIXTURES / "model_4ch.ckpt")
+        save_model(path, model, angle_id=meta["angle"])
+        assert path.read_bytes() == want
 
     def test_wrong_kind_rejected(self, tmp_path):
         from danae.tensor_nn import write_checkpoint

@@ -58,6 +58,14 @@ class TestQuatEuler:
         with pytest.raises(InvalidInputError):
             quat_to_euler((0.0, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("q", [(math.nan, 0.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0)],
+                             ids=["nan", "inf"])
+    def test_non_finite_quaternion_rejected(self, q):
+        # used to return a finite pitch of pi/2 with NaN roll and yaw
+        with pytest.raises(InvalidInputError, match=r"^quaternion \[.*\] holds a NaN or an "
+                                                    r"infinity$"):
+            quat_to_euler(q)
+
     def test_unnormalized_input_is_normalized(self):
         e = quat_to_euler((2.0, 0.0, 0.0, 0.0))
         assert (e.roll, e.pitch, e.yaw) == (0.0, 0.0, 0.0)

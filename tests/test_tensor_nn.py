@@ -1,3 +1,4 @@
+import itertools
 import re
 import weakref
 
@@ -41,13 +42,8 @@ def _rand_conv_case(rng, transposed=False):
     out_ch = int(rng.integers(1, 4))
     k = int(rng.choice([1, 3, 5]))
     dilation = int(rng.integers(1, 4))
-    # padding up to span + 3 reaches over-padding and, for the transposed
-    # conv, the crop branch
-    padding = int(rng.integers(0, dilation * (k - 1) + 4))
     length = int(rng.integers(dilation * (k - 1) + 1, 14))
-    spec = ConvSpec(in_ch, out_ch, k, dilation=dilation, padding=padding,
-                    transposed=transposed)
-    length += max(0, 1 - spec.out_length(length))
+    spec = ConvSpec(in_ch, out_ch, k, dilation=dilation, transposed=transposed)
     w = rng.normal(size=spec.weight_shape())
     b = rng.normal(size=out_ch)
     x = rng.normal(size=(in_ch, length, 1))
@@ -56,20 +52,20 @@ def _rand_conv_case(rng, transposed=False):
 
 class TestConv1d:
     def test_identity_kernel(self):
-        spec = ConvSpec(1, 1, 3, padding=1)
+        spec = ConvSpec(1, 1, 3)
         y = conv1d(Tensor(_one([[1.0, 2.0, 3.0, 4.0]])),
                    Tensor([[[0.0, 1.0, 0.0]]]), Tensor([0.0]), spec)
         assert np.array_equal(y.data, _one([[1.0, 2.0, 3.0, 4.0]]))
 
     def test_box_kernel_hand_sum(self):
-        spec = ConvSpec(1, 1, 3, padding=1)
+        spec = ConvSpec(1, 1, 3)
         y = conv1d(Tensor(_one([[1.0, 1.0, 1.0, 1.0]])),
                    Tensor(np.ones((1, 1, 3))), Tensor([0.0]), spec)
         assert np.array_equal(y.data, _one([[2.0, 3.0, 3.0, 2.0]]))
 
     def test_dilated_against_triple_loop(self):
         # frozen from the naive oracle on this exact input
-        spec = ConvSpec(1, 1, 3, dilation=2, padding=2)
+        spec = ConvSpec(1, 1, 3, dilation=2)
         x = np.array([[1.0, 0.0, 0.0, 0.0, 1.0]])
         w = np.ones((1, 1, 3))
         want = conv1d_reference(x, w, None, 2, 2)
@@ -88,7 +84,7 @@ class TestConv1d:
 
     def test_trailing_batch_axis_agrees_with_per_sample(self):
         rng = np.random.default_rng(12)
-        spec = ConvSpec(2, 3, 3, dilation=2, padding=2)
+        spec = ConvSpec(2, 3, 3, dilation=2)
         w = Tensor(rng.normal(size=spec.weight_shape()))
         b = Tensor(rng.normal(size=3))
         batch = rng.normal(size=(2, 9, 4))  # (channels, length, batch)
@@ -98,20 +94,24 @@ class TestConv1d:
             assert np.array_equal(stacked[:, :, i:i + 1], single)
 
     def test_length_preservation_lemma(self):
-        # padding = dilation * (k - 1) / 2 keeps the length for odd k
+        # padding = dilation * (k - 1) / 2 keeps the length for odd k, and
+        # every conv pads so, on the graph path and the plain-array path
         rng = np.random.default_rng(13)
-        for d in (1, 2, 4, 8):
-            for k in (1, 3, 5):
-                pad = d * (k - 1) // 2
-                spec = ConvSpec(1, 1, k, dilation=d, padding=pad)
-                x = rng.normal(size=(1, 20, 1))
-                y = conv1d(Tensor(x), Tensor(rng.normal(size=(1, 1, k))), None, spec)
-                assert y.data.shape == (1, 20, 1)
+        for op, wrap, d, k in itertools.product((conv1d, conv1d_transposed),
+                                                (Tensor, np.asarray), (1, 2, 4, 8), (1, 3, 5)):
+            spec = ConvSpec(2, 3, k, dilation=d, transposed=op is conv1d_transposed)
+            assert spec.padding == d * (k - 1) // 2
+            for length in (1, 7, 20):
+                y = op(wrap(rng.normal(size=(2, length, 4))),
+                       wrap(rng.normal(size=spec.weight_shape())), None, spec)
+                assert (y.data if wrap is Tensor else y).shape == (3, length, 4)
 
     def test_impossible_length_rejected(self):
-        spec = ConvSpec(1, 1, 5, dilation=3, padding=0)
-        with pytest.raises(ShapeError):
-            conv1d(Tensor(np.ones((1, 4, 1))), Tensor(np.ones((1, 1, 5))), None, spec)
+        # the one length no conv takes is an empty input
+        for op in (conv1d, conv1d_transposed):
+            spec = ConvSpec(1, 1, 5, dilation=3, transposed=op is conv1d_transposed)
+            with pytest.raises(ShapeError, match="^input has no samples$"):
+                op(Tensor(np.ones((1, 0, 1))), Tensor(np.ones((1, 1, 5))), None, spec)
 
     @pytest.mark.parametrize("op", [conv1d, conv1d_transposed])
     @pytest.mark.parametrize("wrap", [Tensor, np.asarray], ids=["tensor", "array"])
@@ -119,7 +119,7 @@ class TestConv1d:
         # activations are (channels, length, batch) only: an unbatched
         # window, a bare track or an extra axis is a ShapeError naming the
         # shape, on the graph path and the plain-array path alike
-        spec = ConvSpec(2, 2, 3, padding=1, transposed=op is conv1d_transposed)
+        spec = ConvSpec(2, 2, 3, transposed=op is conv1d_transposed)
         w, b = np.ones(spec.weight_shape()), np.zeros(2)
         for shape in [(), (2,), (2, 8), (2, 8, 1, 1)]:
             with pytest.raises(ShapeError, match=re.escape(f"got {shape}")):
@@ -132,18 +132,26 @@ class TestConv1d:
             ConvSpec(1, 1, 3, dilation=0)
         with pytest.raises(TypeError):
             ConvSpec(1, 1, 3, stride=2)
+        # padding is derived, not a setting, so an old positional padding
+        # would land in `transposed`, which takes a bool only
+        with pytest.raises(TypeError):
+            ConvSpec(1, 1, 3, padding=1)
+        for bad in (lambda: ConvSpec(2, 3, transposed=1), lambda: ConvSpec(2, 3, 3, 2, 2)):
+            with pytest.raises(ConfigError, match="^transposed must be a bool, got [12]$"):
+                bad()
 
 
 class TestConv1dTransposed:
     def test_single_sample_scatter(self):
-        spec = ConvSpec(1, 1, 3, padding=0, transposed=True)
-        y = conv1d_transposed(Tensor(_one([[1.0]])), Tensor(np.ones((1, 1, 3))),
-                              Tensor([0.0]), spec)
-        assert np.array_equal(y.data, _one([[1.0, 1.0, 1.0]]))
+        # one sample at t scatters the kernel onto t - 1, t, t + 1
+        spec = ConvSpec(1, 1, 3, transposed=True)
+        y = conv1d_transposed(Tensor(_one([[0.0, 1.0, 0.0, 0.0]])),
+                              Tensor([[[1.0, 2.0, 3.0]]]), Tensor([0.0]), spec)
+        assert np.array_equal(y.data, _one([[1.0, 2.0, 3.0, 0.0]]))
 
     def test_identity_round_trip(self):
-        spec = ConvSpec(1, 1, 3, padding=1)
-        spec_t = ConvSpec(1, 1, 3, padding=1, transposed=True)
+        spec = ConvSpec(1, 1, 3)
+        spec_t = ConvSpec(1, 1, 3, transposed=True)
         ident = Tensor(np.array([[[0.0, 1.0, 0.0]]]))
         x = Tensor(_one([[0.5, -1.0, 2.0, 0.0, 3.0]]))
         y = conv1d(x, ident, None, spec)
@@ -165,11 +173,9 @@ class TestConv1dTransposed:
         rng = np.random.default_rng(31)
         for _ in range(100):
             spec, w, _, x = _rand_conv_case(rng)
-            y_len = spec.out_length(x.shape[1])
-            y = rng.normal(size=(spec.out_channels, y_len, 1))
+            y = rng.normal(size=(spec.out_channels, x.shape[1], 1))
             spec_t = ConvSpec(spec.out_channels, spec.in_channels,
-                              spec.kernel_size, dilation=spec.dilation,
-                              padding=spec.padding, transposed=True)
+                              spec.kernel_size, dilation=spec.dilation, transposed=True)
             lhs = float(np.sum(conv1d(Tensor(x), Tensor(w), None, spec).data * y))
             rhs = float(np.sum(x * conv1d_transposed(Tensor(y), Tensor(w), None,
                                                      spec_t).data))
@@ -235,7 +241,7 @@ class TestActivation:
 
     def test_in_place_after_a_conv_keeps_every_gradient(self):
         rng = np.random.default_rng(7)
-        spec = ConvSpec(2, 3, 3, padding=1)
+        spec = ConvSpec(2, 3, 3)
         w, b, x = rng.normal(size=spec.weight_shape()), rng.normal(size=3), \
             rng.normal(size=(2, 7, 4))
         target = rng.normal(size=(3, 7, 4))
@@ -280,7 +286,7 @@ def _danae_model(rng):
 
 
 def _conv_added_to_itself(rng):
-    spec = ConvSpec(2, 3, 3, padding=1)
+    spec = ConvSpec(2, 3, 3)
     w, b = Tensor(rng.normal(size=spec.weight_shape())), Tensor(rng.normal(size=3))
     x = Tensor(rng.normal(size=(2, 7, 1)))
     y = conv1d(x, w, b, spec)
@@ -318,7 +324,7 @@ class TestBackward:
             backward(y)
 
     def test_zero_network_zero_gradients(self):
-        spec = ConvSpec(1, 1, 3, padding=1)
+        spec = ConvSpec(1, 1, 3)
         w = Tensor(np.zeros((1, 1, 3)))
         b = Tensor(np.zeros(1))
         x = Tensor(np.random.default_rng(0).normal(size=(1, 8, 1)))
@@ -328,7 +334,7 @@ class TestBackward:
         assert np.array_equal(b.grad, np.zeros(1))
 
     def test_fanout_doubles_gradient(self):
-        spec = ConvSpec(1, 1, 3, padding=1)
+        spec = ConvSpec(1, 1, 3)
         rng = np.random.default_rng(9)
         w = Tensor(rng.normal(size=(1, 1, 3)))
         b = Tensor(rng.normal(size=1))
@@ -347,7 +353,7 @@ class TestBackward:
         assert np.allclose(doubled_w, 4.0 * w.grad)
 
     def test_grad_accumulates_across_calls(self):
-        spec = ConvSpec(1, 1, 3, padding=1)
+        spec = ConvSpec(1, 1, 3)
         w = Tensor(np.ones((1, 1, 3)))
         x = Tensor(np.ones((1, 4, 1)))
         for expected_scale in (1.0, 2.0):
@@ -395,7 +401,7 @@ class TestBackward:
         # a kept prediction outlives its graph: its value stays, but a new
         # loss built on it reaches a consumed node
         rng = np.random.default_rng(19)
-        spec = ConvSpec(2, 3, 3, padding=1)
+        spec = ConvSpec(2, 3, 3)
         leaves = [Tensor(rng.normal(size=spec.weight_shape())), Tensor(rng.normal(size=3)),
                   Tensor(rng.normal(size=(2, 7, 1)))]
         pred = activation(conv1d(leaves[2], leaves[0], leaves[1], spec))
@@ -438,7 +444,7 @@ class TestBackward:
         assert all(ref() is None for ref in closures)
 
 def _single_pass_grad():
-    spec = ConvSpec(1, 1, 3, padding=1)
+    spec = ConvSpec(1, 1, 3)
     w = Tensor(np.ones((1, 1, 3)))
     x = Tensor(np.ones((1, 4, 1)))
     loss = l2_loss(conv1d(x, w, None, spec), np.zeros((1, 4, 1)))
@@ -502,7 +508,7 @@ def finite_difference_check(build_loss, params, rng, coords_per_param=20,
 class TestGradientsAgainstFiniteDifferences:
     def test_conv1d_layer(self):
         rng = np.random.default_rng(100)
-        spec = ConvSpec(2, 3, 3, dilation=2, padding=2)
+        spec = ConvSpec(2, 3, 3, dilation=2)
         w = Tensor(rng.normal(size=spec.weight_shape()))
         b = Tensor(rng.normal(size=3))
         x = Tensor(rng.normal(size=(2, 9, 1)))
@@ -512,17 +518,17 @@ class TestGradientsAgainstFiniteDifferences:
 
     def test_conv1d_transposed_layer(self):
         rng = np.random.default_rng(101)
-        spec = ConvSpec(3, 2, 3, dilation=2, padding=1, transposed=True)
+        spec = ConvSpec(3, 2, 3, dilation=2, transposed=True)
         w = Tensor(rng.normal(size=spec.weight_shape()))
         b = Tensor(rng.normal(size=2))
         x = Tensor(rng.normal(size=(3, 7, 1)))
-        target = rng.normal(size=(2, spec.out_length(7), 1))
+        target = rng.normal(size=(2, 7, 1))
         finite_difference_check(
             lambda: l2_loss(conv1d_transposed(x, w, b, spec), target), [w, b, x], rng)
 
     def test_activation_and_skip_sum(self):
         rng = np.random.default_rng(102)
-        spec = ConvSpec(2, 2, 3, padding=1)
+        spec = ConvSpec(2, 2, 3)
         w = Tensor(rng.normal(size=spec.weight_shape()))
         b = Tensor(rng.normal(size=2))
         x = Tensor(rng.normal(size=(2, 8, 1)))
@@ -545,7 +551,7 @@ class TestBatchedBackward:
         for _ in range(20):
             spec, w, b, x = _rand_conv_case(rng, transposed=op is conv1d_transposed)
             xs = rng.normal(size=x.shape[:2] + (batch,))
-            target = rng.normal(size=(spec.out_channels, spec.out_length(x.shape[1]), batch))
+            target = rng.normal(size=(spec.out_channels, x.shape[1], batch))
             wt, bt, xt = Tensor(w), Tensor(b), Tensor(xs)
             backward(l2_loss(op(xt, wt, bt, spec), target))
             dw, db, dx = np.zeros_like(w), np.zeros_like(b), np.zeros_like(xs)
@@ -648,7 +654,7 @@ class TestArrayPath:
 
     def test_any_tensor_argument_builds_a_node(self):
         rng = np.random.default_rng(64)
-        spec = ConvSpec(2, 3, 3, padding=1)
+        spec = ConvSpec(2, 3, 3)
         w = rng.normal(size=spec.weight_shape())
         x = rng.normal(size=(2, 6, 1))
         wt = Tensor(w)
@@ -739,7 +745,7 @@ class TestAdam:
 class TestDeterminism:
     def test_forward_is_bitwise_reproducible(self):
         rng = np.random.default_rng(77)
-        spec = ConvSpec(2, 2, 3, dilation=2, padding=2)
+        spec = ConvSpec(2, 2, 3, dilation=2)
         w = rng.normal(size=spec.weight_shape())
         b = rng.normal(size=2)
         x = rng.normal(size=(2, 16, 1))
