@@ -317,13 +317,16 @@ def load_model(path) -> tuple[DanaeModel, dict]:
                   meta["channels"])
     layers = {}
     for name, spec, activate in rows:
-        for key in (f"{name}.w", f"{name}.b"):
+        params = []
+        for key, shape in ((f"{name}.w", spec.weight_shape()),
+                           (f"{name}.b", (spec.out_channels,))):
             if key not in arrays:
                 raise ConfigError(f"{path}: model checkpoint has no array {key!r}")
-        weight, bias = arrays[f"{name}.w"], arrays[f"{name}.b"]
-        if weight.shape != spec.weight_shape() or bias.shape != (spec.out_channels,):
-            raise ShapeError(f"{path}: array shapes disagree with layer {name}")
-        layers[name] = ConvLayer(spec, Tensor(weight), Tensor(bias), activate)
+            if arrays[key].shape != shape:
+                raise ShapeError(f"{path}: {key} is {arrays[key].shape}, "
+                                 f"layer {name} takes {shape}")
+            params.append(Tensor(arrays[key]))
+        layers[name] = ConvLayer(spec, *params, activate)
     return DanaeModel(layers), meta
 
 

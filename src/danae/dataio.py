@@ -75,7 +75,12 @@ def quat_to_euler(q) -> EulerAngles:
     q = np.asarray(q, dtype=float).reshape(4)
     if not np.isfinite(q).all():
         raise InvalidInputError(f"quaternion {q.tolist()} holds a NaN or an infinity")
-    norm = np.linalg.norm(q)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(q)
+    if math.isinf(norm):
+        # the squared norm overflows: scale by the largest component first
+        q = q / np.max(np.abs(q))
+        norm = np.linalg.norm(q)
     if norm < 1e-12:
         raise InvalidInputError("zero quaternion has no orientation")
     if abs(norm - 1.0) > 1e-6:
@@ -107,14 +112,17 @@ def euler_to_quat(angles: EulerAngles) -> np.ndarray:
 
 def _text_lines(path, error):
     """The (number, line) pairs of a UTF-8 text file, one at a time and
-    without their line ends. A leading byte order mark is dropped. Text mode
-    splits lines at "\n", "\r" and "\r\n"; surrogateescape decodes each
-    byte that is not UTF-8 to one of U+DC80..U+DCFF, which strict UTF-8
-    never yields, so a line that does not encode back raises `error` naming
-    the line and its first such byte."""
-    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+    without their line ends. A leading byte order mark is dropped by hand:
+    "utf-8-sig" would also drop a 1- or 2-byte prefix of one at the end of
+    the file. Text mode splits lines at "\n", "\r" and "\r\n";
+    surrogateescape decodes each byte that is not UTF-8 to one of
+    U+DC80..U+DCFF, which strict UTF-8 never yields, so a line that does not
+    encode back raises `error` naming the line and its first such byte."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.removesuffix("\n")
+            if number == 1:
+                line = line.removeprefix("\ufeff")
             try:
                 line.encode("utf-8")
             except UnicodeEncodeError as err:
@@ -334,15 +342,19 @@ class SynthConfig:
 _SYNTH_PHASES = np.array([0.0, 1.0, 2.0])
 
 
-def _body_rate_matrix(roll, pitch):
-    """Inverse Euler-rate kinematics: maps Euler-angle rates to body rates."""
-    sr, cr = math.sin(roll), math.cos(roll)
-    sp, cp = math.sin(pitch), math.cos(pitch)
-    return np.array([
-        [1.0, 0.0, -sp],
-        [0.0, cr, sr * cp],
-        [0.0, -sr, cr * cp],
-    ])
+def _body_rate_matrices(angles):
+    """Inverse Euler-rate kinematics for a batch of (N, 3) Euler angles: the
+    (N, 3, 3) matrices that map Euler-angle rates to body rates."""
+    sr, cr = np.sin(angles[:, 0]), np.cos(angles[:, 0])
+    sp, cp = np.sin(angles[:, 1]), np.cos(angles[:, 1])
+    B = np.zeros((len(angles), 3, 3))
+    B[:, 0, 0] = 1.0
+    B[:, 0, 2] = -sp
+    B[:, 1, 1] = cr
+    B[:, 1, 2] = sr * cp
+    B[:, 2, 1] = -sr
+    B[:, 2, 2] = cr * cp
+    return B
 
 
 def _world_to_body(angles):
@@ -380,13 +392,12 @@ def synth_trajectory(cfg: SynthConfig) -> tuple[ImuSeries, AngleSeries]:
     freqs = np.array([cfg.roll_freq, cfg.pitch_freq, cfg.yaw_freq])
     angles = amps * np.sin(2.0 * np.pi * freqs * t[:, None] + _SYNTH_PHASES)
 
-    gyro = np.zeros((n, 3))
+    # sample 0 takes the analytic rate, each later sample its step's finite
+    # difference, mapped at the attitude the step starts from
     rates0 = amps * 2.0 * np.pi * freqs * np.cos(_SYNTH_PHASES)
-    gyro[0] = _body_rate_matrix(angles[0, 0], angles[0, 1]) @ rates0
-    dt = np.diff(t)[:, None]
-    euler_rates = (angles[1:] - angles[:-1]) / dt
-    for i in range(1, n):
-        gyro[i] = _body_rate_matrix(angles[i - 1, 0], angles[i - 1, 1]) @ euler_rates[i - 1]
+    rates = np.vstack([rates0, (angles[1:] - angles[:-1]) / np.diff(t)[:, None]])
+    start = np.vstack([angles[:1], angles[:-1]])
+    gyro = (_body_rate_matrices(start) @ rates[:, :, None])[:, :, 0]
 
     Rt = _world_to_body(angles)
     accel = Rt @ np.array([0.0, 0.0, STANDARD_GRAVITY])

@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: the Kalman reference
 inverts matrices by adjugate/cofactor expansion instead of linear solves,
 the filter reference runs the measurement model and gyro kinematics one
-sample at a time in scalar `math`, and the convolution reference is a
+sample at a time in scalar `math`, as the synthetic gyro reference runs the
+inverse kinematics, and the convolution reference is a
 direct triple loop over channels and taps. The backward reference keeps
 every node's gradient slot and hands each backward function a copy of it.
 The CSV and config readers
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from danae.attitude_kf import MIN_HORIZONTAL_MAG
-from danae.errors import ConfigError, DataError
+from danae.errors import ConfigError, DataError, ShapeError
 from danae.tensor_nn import CHECKPOINT_MAGIC, read_checkpoint, write_checkpoint
 
 
@@ -118,6 +119,32 @@ def run_kf_reference(imu, cfg):
     return out, predict_only
 
 
+def body_rate_matrix_reference(roll, pitch):
+    """Inverse Euler-rate kinematics for one attitude, in scalar math: maps
+    Euler-angle rates to body rates."""
+    sr, cr = math.sin(roll), math.cos(roll)
+    sp, cp = math.sin(pitch), math.cos(pitch)
+    return np.array([
+        [1.0, 0.0, -sp],
+        [0.0, cr, sr * cp],
+        [0.0, -sr, cr * cp],
+    ])
+
+
+def synth_gyro_reference(t, angles, rates0):
+    """synth_trajectory's noiseless gyro one sample at a time: sample 0 maps
+    the analytic Euler rate `rates0` at the first attitude, each later sample
+    its step's finite-difference rate at the attitude the step starts from."""
+    n = len(t)
+    gyro = np.zeros((n, 3))
+    gyro[0] = body_rate_matrix_reference(angles[0, 0], angles[0, 1]) @ rates0
+    euler_rates = (angles[1:] - angles[:-1]) / np.diff(t)[:, None]
+    for i in range(1, n):
+        gyro[i] = (body_rate_matrix_reference(angles[i - 1, 0], angles[i - 1, 1])
+                   @ euler_rates[i - 1])
+    return gyro
+
+
 def conv1d_reference(x, w, bias, padding, dilation):
     """Naive cross-correlation: explicit loops over out/in channels and taps."""
     x = np.asarray(x, dtype=float)
@@ -198,9 +225,9 @@ def relative_error(a, b):
 def _whole_file_lines(path, error):
     """(lines, byte error) of a whole decoded file: every line and None for
     UTF-8 text; otherwise the lines before the text line that holds the
-    first bad byte, and that byte's error. A leading byte order mark is
-    dropped, as "utf-8-sig" does. "\r", "\n" and "\r\n" each end one
-    line."""
+    first bad byte, and that byte's error. A whole leading byte order mark
+    is dropped; a truncated one is bad bytes. "\r", "\n" and "\r\n" each
+    end one line."""
     raw = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return io.StringIO(raw.decode("utf-8"), newline=None).readlines(), None
@@ -309,6 +336,9 @@ def corrupt_checkpoints(good_path, out_dir):
             DataError),
         "enc0_w_repeated": (repeated, DataError),
     }
+    # meta matches, one array's shape does not
+    resized = {"enc1_w_one_tap": {**arrays, "enc1.w": arrays["enc1.w"][:, :, :1]},
+               "std3_b_two": {**arrays, "std3.b": np.repeat(arrays["std3.b"], 2)}}
     cases = {}
     for case, (data, error) in files.items():
         path = Path(out_dir) / f"{case}.ckpt"
@@ -349,4 +379,8 @@ def corrupt_checkpoints(good_path, out_dir):
         path = Path(out_dir) / f"{case}.ckpt"
         write_checkpoint(path, case_meta, case_arrays)
         cases[case] = (path, ConfigError)
+    for case, case_arrays in resized.items():
+        path = Path(out_dir) / f"{case}.ckpt"
+        write_checkpoint(path, meta, case_arrays)
+        cases[case] = (path, ShapeError)
     return cases

@@ -416,6 +416,8 @@ _BROKEN_SYNTH = {
     "synth_config_fractional_seed": (b"seed=1.5\n", [],
                                      "bad.cfg: synth config key 'seed': cannot read '1.5'"),
     "synth_config_not_utf8": (b"duration=3\n\xff\n", [], "bad.cfg:2: byte 0xff is not UTF-8"),
+    # not an empty file that would run on defaults
+    "synth_config_truncated_bom": (b"\xef", [], "bad.cfg:1: byte 0xef is not UTF-8"),
     # the first problem in file order wins
     "synth_config_bad_line_then_byte": (b"duration=3\nrate 40\n\xff\n", [],
                                         "bad.cfg:2: expected key=value"),

@@ -551,6 +551,17 @@ class TestSaveLoad:
             with pytest.raises(error):
                 load_model(path)
 
+    @pytest.mark.parametrize("case, message", [
+        ("enc1_w_one_tap", r"enc1\.w is \(4, 4, 1\), layer enc1 takes \(4, 4, 3\)"),
+        ("std3_b_two", r"std3\.b is \(2,\), layer std3 takes \(1,\)"),
+    ], ids=["enc1_w_one_tap", "std3_b_two"])
+    def test_array_shape_mismatch_names_array_and_shapes(self, tmp_path, case, message):
+        good = tmp_path / "good.ckpt"
+        save_model(good, build_model(0, channels=4), angle_id="roll")
+        path, _ = corrupt_checkpoints(good, tmp_path)[case]
+        with pytest.raises(ShapeError, match=f"{case}.ckpt: {message}$"):
+            load_model(path)
+
     @pytest.mark.parametrize("case, layer", [
         ("enc1_padding_0", "enc1"), ("enc2_dilation_2", "enc2"),
         ("std3_activated", "std3"), ("channels_too_wide", "enc0"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 
 from danae.attitude_kf import gyro_delta, integrate_gyro, run_kf
 from danae.dataio import (
+    _SYNTH_PHASES,
+    _body_rate_matrices,
     FractionSplit,
     SynthConfig,
     euler_to_quat,
@@ -26,6 +29,8 @@ from danae.dataio import (
 from danae.errors import ConfigError, DataError, InvalidInputError
 from danae.evalkit import deviations
 from danae.series import AngleSeries, EulerAngles, ImuSeries, angle_index, wrap_angle
+
+from helpers import body_rate_matrix_reference, synth_gyro_reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,8 +60,10 @@ class TestQuatEuler:
             assert got.yaw == pytest.approx(want.yaw, abs=1e-9)
 
     def test_zero_quaternion_rejected(self):
-        with pytest.raises(InvalidInputError):
-            quat_to_euler((0.0, 0.0, 0.0, 0.0))
+        # the second one's squared norm underflows to zero
+        for q in [(0.0, 0.0, 0.0, 0.0), (1e-200, 1e-200, 0.0, 0.0)]:
+            with pytest.raises(InvalidInputError, match="zero quaternion"):
+                quat_to_euler(q)
 
     @pytest.mark.parametrize("q", [(math.nan, 0.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0)],
                              ids=["nan", "inf"])
@@ -69,6 +76,15 @@ class TestQuatEuler:
     def test_unnormalized_input_is_normalized(self):
         e = quat_to_euler((2.0, 0.0, 0.0, 0.0))
         assert (e.roll, e.pitch, e.yaw) == (0.0, 0.0, 0.0)
+
+    def test_overflowing_norm_keeps_the_orientation(self):
+        # a 90 degree roll scaled until its squared norm overflows; it used to
+        # come back as the identity after numpy's overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = quat_to_euler((1e200, 1e200, 0.0, 0.0))
+        assert e.roll == pytest.approx(math.pi / 2, abs=1e-12)
+        assert (e.pitch, e.yaw) == (0.0, 0.0)
 
 
 class TestLoadOxiod:
@@ -101,6 +117,15 @@ class TestLoadOxiod:
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="row 11"):
             load_oxiod(bad, FIXTURES / "oxiod_vicon.csv")
+
+    def test_zero_quaternion_names_the_vicon_row(self, tmp_path):
+        lines = (FIXTURES / "oxiod_vicon.csv").read_text().splitlines()
+        cells = lines[5].split(",")
+        lines[5] = ",".join(cells[:4] + ["0"] * 4)  # data row 5 after the header
+        vicon = tmp_path / "vicon.csv"
+        vicon.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=r"vicon.csv: data row 5: zero quaternion"):
+            load_oxiod(FIXTURES / "oxiod_imu.csv", vicon)
 
     def test_empty_file_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -323,6 +348,24 @@ class TestSynthTrajectory:
             x = x + gyro_delta(imu.gyro[i], x[0], x[1], imu.t[i] - imu.t[i - 1])
             worst = max(worst, float(np.max(np.abs(x - gt.angles[i]))))
         assert worst < 1e-3
+
+    def test_body_rate_matrices_equal_the_scalar_reference(self):
+        _, gt = synth_trajectory(SynthConfig(duration=20.0, seed=5))
+        angles = np.vstack([gt.angles, np.random.default_rng(0).uniform(-3.0, 3.0, (500, 3))])
+        want = np.array([body_rate_matrix_reference(r, p) for r, p, _ in angles])
+        assert _body_rate_matrices(angles).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("settings", [dict(duration=2.5, rate=80.0, seed=7),
+                                          dict(duration=0.02, seed=3),
+                                          dict(duration=3.0, rate=333.0, seed=9)],
+                             ids=["fixture", "two_samples", "333hz"])
+    def test_noiseless_gyro_equals_the_per_sample_reference(self, settings):
+        cfg = SynthConfig(**settings, gyro_noise=0.0, gyro_bias=0.0)
+        imu, gt = synth_trajectory(cfg)
+        amps = np.array([cfg.roll_amp, cfg.pitch_amp, cfg.yaw_amp])
+        freqs = np.array([cfg.roll_freq, cfg.pitch_freq, cfg.yaw_freq])
+        rates0 = amps * 2.0 * np.pi * freqs * np.cos(_SYNTH_PHASES)
+        assert np.array_equal(imu.gyro, synth_gyro_reference(imu.t, gt.angles, rates0))
 
     def test_noiseless_kf_recovers_ground_truth(self):
         cfg = SynthConfig(duration=20.0, gyro_noise=0.0, gyro_bias=0.0,

@@ -153,6 +153,9 @@ _CONFIG_TEXT = st.text(st.sampled_from("ab=#1 \t\r\n"), max_size=60)
 @example(raw=b"\xef\xbb\xbf1,2\n3,4\n", columns=2)
 @example(raw=b"\xef\xbb\xbf\xff\n1,2\n", columns=2)
 @example(raw=b"1,x\n3,4\n", columns=2)
+# a truncated byte order mark is a bad byte, not an empty file
+@example(raw=b"\xef", columns=1)
+@example(raw=b"\xef\xbb", columns=1)
 def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
     input_file.write_bytes(raw)
     assert (_outcome(lambda path: read_table(path, columns), input_file)
@@ -165,6 +168,8 @@ def test_table_reader_matches_whole_file_reference(input_file, raw, columns):
 @example(raw=b"a=1\r\xff\rb\n")
 @example(raw=b"a=1\n\xff\nb\n")
 @example(raw=b"\xef\xbb\xbfa=1\n\xff\n")
+@example(raw=b"\xef")
+@example(raw=b"\xef\xbb")
 def test_config_reader_matches_whole_file_reference(input_file, raw):
     input_file.write_bytes(raw)
     assert _outcome(read_config_file, input_file) == _outcome(read_config_reference,
